@@ -51,7 +51,15 @@ class ChainReport:
     slack_monotonicity: float
     slack_sup_step: float
     slack_combined: float
-    implied_constant: float
+
+    def constant_at(self, N: int) -> float:
+        """The measured constant ``C = ||Ta||_3 / (N^(1/18) ||F||_3)``."""
+        return self.norm_Ta3 / (N ** (1.0 / 18.0) * self.norm_F3)
+
+    @property
+    def implied_constant(self) -> float:
+        """The constant against N = max(lam), raised to 1 when lam = {0}."""
+        return self.constant_at(max(self.N, 1))
 
     def slacks(self) -> tuple:
         return (
@@ -122,8 +130,6 @@ def interpolation_check(
     rhs_interp = a_inf * f2 ** (1.0 / 3.0) * f4 ** (2.0 / 3.0)
     rhs_sup = size**0.25 * f3**0.75
     rhs_combined = a_inf * size ** (1.0 / 6.0) * f3 ** (5.0 / 6.0)
-    n_eff = max(N, 1)  # the constant is only meaningful against N >= 1
-    constant = ta3 / (n_eff ** (1.0 / 18.0) * f3)
 
     return ChainReport(
         lam_size=size,
@@ -137,7 +143,6 @@ def interpolation_check(
         slack_monotonicity=_relative_slack(f2, f3),
         slack_sup_step=_relative_slack(f4, rhs_sup),
         slack_combined=_relative_slack(ta3, rhs_combined),
-        implied_constant=constant,
     )
 
 
@@ -216,7 +221,4 @@ def proposition_check(
         raise ValueError("N must be >= 1")
     if max(inst.lam) > N:
         raise ValueError("lambda must lie inside {0..N}")
-    f3 = norm_quad(inst.denominator_poly(), 3.0, rel_tol).value
-    Ta = inst.numerator_poly()
-    ta3 = norm_quad(Ta, 3.0, rel_tol).value if Ta else 0.0
-    return ta3 / (N ** (1.0 / 18.0) * f3)
+    return interpolation_check(inst, rel_tol).constant_at(N)

@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import ChainReport, interpolation_check, peak_lower_bound, proposition_check, upper_exponent
+from .bounds import ChainReport, interpolation_check, peak_lower_bound, upper_exponent
 from .construction import build, eta_empirical, fit_k, ratio_at
 from .errors import MajorantError
-from .norms import norm_even, norm_quad
+from .norms import norm, norm_quad
 from .search import (
     MajorantInstance,
     exhaustive_roots,
@@ -93,10 +93,6 @@ def parse_lambda_spec(spec: str) -> tuple:
                 f"token {pos} ({token.strip()!r}): invalid frequency"
             ) from None
     return tuple(sorted(out))
-
-
-def _even_integer(p: float) -> bool:
-    return float(p).is_integer() and int(p) % 2 == 0 and p >= 2
 
 
 # -- manifest ----------------------------------------------------------------
@@ -200,10 +196,10 @@ def _cmd_norm(args) -> int:
     poly = parse_poly_spec(args.poly)
     if args.p < 1:
         raise UsageError("p must be >= 1")
-    if _even_integer(args.p) and not args.force_quadrature:
-        est = norm_even(poly, int(args.p))
-    else:
+    if args.force_quadrature:
         est = norm_quad(poly, args.p, args.tol)
+    else:
+        est = norm(poly, args.p, args.tol)
     results = {"estimate": est.to_json(), "poly": poly.to_triples()}
     _emit(args, "norm", results, _params(args, "poly", "p", "tol", "force_quadrature"), args.seed)
     return 0
@@ -221,7 +217,6 @@ def _cmd_construct(args) -> int:
         raise UsageError(str(exc)) from exc
     results = {
         **cons.to_json(),
-        "lam_size": len(cons.lam),
         "p": args.p,
         "ratio": ratio,
         "eta": eta,
@@ -314,12 +309,11 @@ def _cmd_bounds(args) -> int:
         report = interpolation_check(inst, args.tol)
         N = args.N if args.N is not None else max(max(inst.lam), 1)
         peak = peak_lower_bound(inst.lam, N, args.peak_grid)
-        constant = proposition_check(inst, N, args.tol)
         row = report.to_json()
         row["peak_measured"] = peak.measured
         row["peak_predicted"] = peak.predicted
         row["cube_norm_lower"] = peak.cube_norm_lower
-        row["proposition_constant"] = constant
+        row["proposition_constant"] = report.constant_at(N)
         rows.append(row)
     results = {"instances": rows, "exponent_p3": str(upper_exponent(3))}
     _emit(
@@ -509,6 +503,10 @@ def main(argv=None) -> int:
         return 2
     except MajorantError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy raises a MemoryError subclass when a grid cannot be allocated
+        print(f"numeric failure: out of memory ({exc})", file=sys.stderr)
         return 1
 
 

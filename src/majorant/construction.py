@@ -25,12 +25,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 from typing import Mapping, NamedTuple, Tuple
 
-from .errors import ConstructionError, FrequencyOverflowError
-from .norms import DEFAULT_REL_TOL, NormEstimate, norm_even, norm_quad
-from .trigpoly import MAX_FREQUENCY, DilatedProduct, TrigPoly, make, product_of_dilates
+from .errors import FrequencyOverflowError
+from .norms import DEFAULT_REL_TOL, NormEstimate, norm
+from .trigpoly import MAX_FREQUENCY, DilatedProduct, TrigPoly, make
 
 DIGITS = (0, 1, 3)
 
@@ -68,20 +69,46 @@ def digit_sign(n: int, D: int) -> int:
 
 @dataclass(frozen=True)
 class DigitConstruction:
-    """A built instance: parameters, the set, the signs, and both sums.
+    """Lambda(D, k) with its digit signs, stored as its parameters.
 
-    ``all_ones`` is the exponential sum with coefficient 1 on every element
-    of ``lam``; ``signed`` carries the digit signs.  ``N = max(lam)`` is the
-    ambient interval length witness.  Immutable after construction.
+    ``N = max(lam)`` and ``lam_size = 3^k`` are closed forms.  The set, the
+    signs and the expanded sums (``all_ones`` with coefficient 1 on every
+    element of ``lam``, ``signed`` carrying the digit signs) have 3^k
+    entries each and are built on first use only.  Immutable.
     """
 
     D: int
     k: int
-    lam: Tuple[int, ...]
-    signs: Mapping[int, int]
-    all_ones: TrigPoly
-    signed: TrigPoly
-    N: int
+
+    @property
+    def N(self) -> int:
+        """max(Lambda), the number whose base-D digits are all 3."""
+        return 3 * (self.D**self.k - 1) // (self.D - 1)
+
+    @property
+    def lam_size(self) -> int:
+        return 3**self.k
+
+    @cached_property
+    def signs(self) -> Mapping[int, int]:
+        """Digit sign of every element, enumerated digit by digit."""
+        signs = {}
+        for eps in iter_product(DIGITS, repeat=self.k):
+            n = sum(e * self.D**i for i, e in enumerate(eps))
+            signs[n] = -1 if eps.count(3) % 2 else 1
+        return signs
+
+    @cached_property
+    def lam(self) -> Tuple[int, ...]:
+        return tuple(sorted(self.signs))
+
+    @cached_property
+    def all_ones(self) -> TrigPoly:
+        return self.all_ones_product().expand()
+
+    @cached_property
+    def signed(self) -> TrigPoly:
+        return self.signed_product().expand()
 
     def all_ones_product(self) -> DilatedProduct:
         """Product form of the all-ones sum, for O(k)-per-point evaluation."""
@@ -92,61 +119,23 @@ class DigitConstruction:
         return DilatedProduct(flipped_base(), self.D, self.k)
 
     def to_json(self) -> dict:
-        return {
-            "D": self.D,
-            "k": self.k,
-            "lambda": list(self.lam),
-            "signs": {str(n): s for n, s in self.signs.items()},
-            "N": self.N,
-        }
+        return {"D": self.D, "k": self.k, "N": self.N, "lam_size": self.lam_size}
 
 
 def build(D: int, k: int) -> DigitConstruction:
-    """Construct Lambda(D, k) with its signs and both exponential sums.
-
-    The set is enumerated digit by digit and cross-checked, term for term,
-    against the expanded products of dilates; the two routes must agree
-    exactly or a :class:`ConstructionError` is raised.
-    """
+    """Validate the parameters of Lambda(D, k) and return its construction."""
     D = operator.index(D)
     k = operator.index(k)
     if D < 4:
         raise ValueError("digit base D must be >= 4 (3 must be a valid digit)")
     if k < 1:
         raise ValueError("digit count k must be >= 1")
-    span = 3 * (D**k - 1) // (D - 1)
-    if span > MAX_FREQUENCY:
+    c = DigitConstruction(D, k)
+    if c.N > MAX_FREQUENCY:
         raise FrequencyOverflowError(
-            f"max(Lambda) = {span} exceeds the 64-bit frequency range"
+            f"max(Lambda) = {c.N} exceeds the 64-bit frequency range"
         )
-
-    lam = []
-    signs = {}
-    for eps in iter_product(DIGITS, repeat=k):
-        n = sum(e * D**i for i, e in enumerate(eps))
-        lam.append(n)
-        signs[n] = -1 if sum(1 for e in eps if e == 3) % 2 else 1
-    lam.sort()
-
-    all_ones = product_of_dilates(majorant_base(), D, k)
-    signed = product_of_dilates(flipped_base(), D, k)
-
-    # The digit enumeration and the dilation products are independent routes
-    # to the same coefficients; require exact agreement.
-    if dict(all_ones.terms) != {n: (1 + 0j) for n in lam}:
-        raise ConstructionError("all-ones product disagrees with digit enumeration")
-    if dict(signed.terms) != {n: complex(signs[n]) for n in lam}:
-        raise ConstructionError("signed product disagrees with digit enumeration")
-
-    return DigitConstruction(
-        D=D,
-        k=k,
-        lam=tuple(lam),
-        signs=signs,
-        all_ones=all_ones,
-        signed=signed,
-        N=lam[-1],
-    )
+    return c
 
 
 def fit_k(D: int, N: int) -> int:
@@ -180,12 +169,8 @@ def ratio_at(
     expanded product has 3^k terms, affordable for small k); other p use
     quadrature on the O(k)-per-point product evaluation.
     """
-    if float(p).is_integer() and int(p) % 2 == 0 and p >= 2:
-        n_all = norm_even(c.all_ones, int(p))
-        n_sgn = norm_even(c.signed, int(p))
-    else:
-        n_all = norm_quad(c.all_ones_product(), p, rel_tol)
-        n_sgn = norm_quad(c.signed_product(), p, rel_tol)
+    n_all = norm(c.all_ones_product(), p, rel_tol)
+    n_sgn = norm(c.signed_product(), p, rel_tol)
     return RatioResult(n_sgn.value / n_all.value, n_all, n_sgn)
 
 

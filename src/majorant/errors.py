@@ -45,5 +45,5 @@ class SearchBudgetError(MajorantError):
 
 
 class ConstructionError(MajorantError):
-    """An internal cross-check failed (the two independent routes to the same
-    object disagreed)."""
+    """A measured quantity contradicts a bound the construction guarantees
+    (for instance the peak of the all-ones sum near theta = 0)."""

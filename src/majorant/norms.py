@@ -1,6 +1,7 @@
 """L^p norms on the torus: ``(integral_0^1 |P(theta)|^p dtheta)^(1/p)``.
 
-Three routes with different guarantees:
+Three routes with different guarantees, and :func:`norm` to pick between
+the last two:
 
 * :func:`norm_l2` reads the norm off the coefficients (Parseval), exact.
 * :func:`norm_even` is exact for even integer p: the p-th moment is the
@@ -104,6 +105,11 @@ def norm_even(P, p: int) -> NormEstimate:
     return NormEstimate(value=moment ** (1.0 / p), p=float(p), method="even-exact")
 
 
+def is_even_integer(p: float) -> bool:
+    """True for p in {2, 4, 6, ...}, where :func:`norm_even` is exact."""
+    return float(p).is_integer() and int(p) % 2 == 0 and p >= 2
+
+
 def starting_grid(degree: int) -> int:
     """First quadrature grid: generous enough that the dominant frequencies
     cannot alias even before any refinement."""
@@ -158,6 +164,14 @@ def norm_quad(
         previous=prev2,
         grid_size=m // 2,
     )
+
+
+def norm(P, p: float, rel_tol: float = DEFAULT_REL_TOL) -> NormEstimate:
+    """L^p norm by the best route: exact for even integer p, quadrature
+    at ``rel_tol`` otherwise."""
+    if is_even_integer(p):
+        return norm_even(P, int(p))
+    return norm_quad(P, p, rel_tol)
 
 
 def sup_norm_bracket(P, grid: int) -> Tuple[float, float]:

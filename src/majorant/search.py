@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import SearchBudgetError
-from .norms import DEFAULT_REL_TOL, norm_even, norm_quad
+from .norms import DEFAULT_REL_TOL, is_even_integer, norm, norm_quad
 from .trigpoly import TrigPoly, make
 
 DEFAULT_BUDGET = 1 << 24
@@ -133,22 +133,12 @@ class SearchReport:
         }
 
 
-def _is_even_integer(p: float) -> bool:
-    return float(p).is_integer() and int(p) % 2 == 0 and p >= 2
-
-
-def _norm_value(P: TrigPoly, p: float, rel_tol: float) -> float:
-    if _is_even_integer(p):
-        return norm_even(P, int(p)).value
-    return norm_quad(P, p, rel_tol).value
-
-
 def majorant_ratio(inst: MajorantInstance, p: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Norm ratio of the instance against the all-ones sum on its set."""
     num = inst.numerator_poly()
     if not num:
         return 0.0
-    return _norm_value(num, p, rel_tol) / _norm_value(inst.denominator_poly(), p, rel_tol)
+    return norm(num, p, rel_tol).value / norm(inst.denominator_poly(), p, rel_tol).value
 
 
 # -- shared-grid scan machinery ---------------------------------------------
@@ -161,7 +151,7 @@ class _Scanner:
         den = MajorantInstance.all_ones(lam).denominator_poly()
         est = norm_quad(den, p, rel_tol)
         m = est.grid_size
-        if _is_even_integer(p):
+        if is_even_integer(p):
             # grid mean integrates |P|^p exactly once m > p * degree
             m = max(m, int(p) * max(lam) + 1)
         theta = np.arange(m) / m
@@ -184,21 +174,13 @@ class _Scanner:
         return float(self.ratios(coeff_vec[None, :])[0])
 
 
-def _codes_to_signs(codes: np.ndarray, t: int) -> np.ndarray:
-    # MSB-first bit layout so ascending code order is lexicographic with
-    # +1 sorting before -1.
-    shifts = np.arange(t - 2, -1, -1)
-    bits = (codes[:, None] >> shifts[None, :]) & 1
-    out = np.ones((codes.shape[0], t), dtype=float)
-    out[:, 1:] = 1.0 - 2.0 * bits
-    return out
-
-
 def _codes_to_roots(codes: np.ndarray, t: int, q: int) -> np.ndarray:
+    # most significant digit first, so ascending code order is lexicographic
+    # with lower root indices (+1 before -1 at q = 2) sorting first
     powers = q ** np.arange(t - 2, -1, -1, dtype=np.int64)
     digits = (codes[:, None] // powers[None, :]) % q
     roots = np.exp(1j * _TWO_PI * np.arange(q) / q)
-    # snap components to exact 0 so q = 2 reproduces the sign search exactly
+    # snap components to exact 0 so q = 2 gives exact signs
     roots.real[np.abs(roots.real) < 1e-15] = 0.0
     roots.imag[np.abs(roots.imag) < 1e-15] = 0.0
     out = np.ones((codes.shape[0], t), dtype=complex)
@@ -249,58 +231,20 @@ def _scan_codes(
     raise AssertionError("scan found no qualifying pattern")
 
 
-def exhaustive_signs(
-    lam: Iterable[int],
-    p: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    threads: Optional[int] = None,
-) -> SearchReport:
-    """Enumerate all sign patterns with the first coefficient pinned to +1.
-
-    2^(|lambda|-1) grid evaluations; raises :class:`SearchBudgetError` with
-    a pointer at :func:`phase_ascent` when that exceeds the budget.
-    """
-    lam = tuple(sorted({operator.index(n) for n in lam}))
-    if not lam:
-        raise ValueError("lambda must be nonempty")
-    t = len(lam)
-    n_patterns = 1 << (t - 1)
-    if n_patterns > budget:
-        raise SearchBudgetError(
-            f"{n_patterns} sign patterns exceed the budget of {budget} "
-            f"evaluations; consider phase_ascent for sets this large",
-            required=n_patterns,
-            budget=budget,
-        )
-    threads = _resolve_threads(threads)
-    scanner = _Scanner(lam, p, rel_tol)
-    decode = lambda codes: _codes_to_signs(codes, t)  # noqa: E731
-    best_code, _ = _scan_codes(scanner, n_patterns, decode, rel_tol, threads)
-    pattern = decode(np.asarray([best_code], dtype=np.int64))[0]
-    inst = MajorantInstance.from_vector(lam, pattern)
-    return SearchReport(
-        lam=lam,
-        best_coeffs=tuple(complex(v) for v in pattern),
-        best_ratio=majorant_ratio(inst, p, rel_tol),
-        p=float(p),
-        method="exhaustive-signs",
-        evaluations=n_patterns + 2,
-        tolerance=rel_tol,
-    )
-
-
-def exhaustive_roots(
+def _exhaustive(
     lam: Iterable[int],
     p: float,
     q: int,
-    rel_tol: float = DEFAULT_REL_TOL,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    threads: Optional[int] = None,
+    method: str,
+    rel_tol: float,
+    budget: int,
+    threads: Optional[int],
 ) -> SearchReport:
-    """Enumerate coefficients over q-th roots of unity, first pinned to 1."""
+    """Enumerate coefficients over q-th roots of unity, first pinned to 1.
+
+    q^(|lambda|-1) grid evaluations; raises :class:`SearchBudgetError` with
+    a pointer at :func:`phase_ascent` when that exceeds the budget.
+    """
     lam = tuple(sorted({operator.index(n) for n in lam}))
     if not lam:
         raise ValueError("lambda must be nonempty")
@@ -311,7 +255,7 @@ def exhaustive_roots(
     n_patterns = q ** (t - 1)
     if n_patterns > budget:
         raise SearchBudgetError(
-            f"{n_patterns} root patterns exceed the budget of {budget} "
+            f"{n_patterns} coefficient patterns exceed the budget of {budget} "
             f"evaluations; consider phase_ascent for sets this large",
             required=n_patterns,
             budget=budget,
@@ -327,10 +271,36 @@ def exhaustive_roots(
         best_coeffs=tuple(complex(v) for v in pattern),
         best_ratio=majorant_ratio(inst, p, rel_tol),
         p=float(p),
-        method="exhaustive-roots",
+        method=method,
         evaluations=n_patterns + 2,
         tolerance=rel_tol,
     )
+
+
+def exhaustive_signs(
+    lam: Iterable[int],
+    p: float,
+    rel_tol: float = DEFAULT_REL_TOL,
+    *,
+    budget: int = DEFAULT_BUDGET,
+    threads: Optional[int] = None,
+) -> SearchReport:
+    """Enumerate all sign patterns with the first coefficient pinned to +1:
+    :func:`exhaustive_roots` at q = 2."""
+    return _exhaustive(lam, p, 2, "exhaustive-signs", rel_tol, budget, threads)
+
+
+def exhaustive_roots(
+    lam: Iterable[int],
+    p: float,
+    q: int,
+    rel_tol: float = DEFAULT_REL_TOL,
+    *,
+    budget: int = DEFAULT_BUDGET,
+    threads: Optional[int] = None,
+) -> SearchReport:
+    """Enumerate coefficients over q-th roots of unity, first pinned to 1."""
+    return _exhaustive(lam, p, q, "exhaustive-roots", rel_tol, budget, threads)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

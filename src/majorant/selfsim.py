@@ -59,24 +59,6 @@ class StepFunction:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
 
-    def value_at(self, theta: float) -> float:
-        return self.values[int((theta % 1.0) * self.D)]
-
-    def to_text(self) -> str:
-        """Plain-text form: first line D, then one value per line."""
-        lines = [str(self.D)]
-        lines.extend(repr(float(v)) for v in self.values)
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "StepFunction":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty step-function text")
-        D = int(lines[0])
-        vals = tuple(float(ln) for ln in lines[1:])
-        return StepFunction(D, vals)
-
 
 def step_mean(r: StepFunction) -> float:
     """The exact integral: the mean of the cell values."""

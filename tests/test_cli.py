@@ -109,11 +109,27 @@ def test_norm_bad_poly_exits_2(capsys, tmp_path, monkeypatch):
 
 
 def test_construct_basic(capsys, tmp_path):
-    results, _ = run_json(capsys, tmp_path, "c1", "construct", "--D", "10", "--k", "2")
-    assert results["lam_size"] == 9
+    results, manifest = run_json(capsys, tmp_path, "c1", "construct", "--D", "10", "--k", "2")
+    assert (results["D"], results["k"], results["N"]) == (10, 2, 33)
+    assert results["lam_size"] == 3**2
     assert results["ratio"] > 1
     assert results["eta"] > 0
-    assert results["lambda"] == [0, 1, 3, 10, 11, 13, 30, 31, 33]
+    # manifests record the parameters, not the 3^k set and signs
+    assert "lambda" not in results and "signs" not in results
+    assert manifest["results"] == results
+
+
+def test_construct_out_of_memory_exits_1(capsys, tmp_path, monkeypatch):
+    import majorant.norms
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("cannot allocate the grid")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(majorant.norms, "norm_quad", no_memory)
+    code, _, err = run(capsys, "construct", "--D", "8", "--k", "2")
+    assert code == 1
+    assert "numeric failure" in err
 
 
 def test_construct_by_target_length(capsys, tmp_path):
@@ -264,6 +280,30 @@ def test_bounds_random_batch_csv(capsys, tmp_path, monkeypatch):
     assert code == 0, err
     lines = [ln for ln in out.strip().splitlines() if ln]
     assert len(lines) == 6  # header + one row per instance
+
+
+def test_bounds_computes_each_cube_norm_once(capsys, tmp_path, monkeypatch):
+    import majorant.bounds
+
+    calls = []
+    real = majorant.bounds.norm_quad
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(majorant.bounds, "norm_quad", counting)
+    results, _ = run_json(capsys, tmp_path, "b3", "bounds", "--random", "6", "--seed", "2")
+    assert len(calls) == 2 * 6  # ||F||_3 and ||Ta||_3, once per instance
+    for row in results["instances"]:
+        assert row["proposition_constant"] == row["implied_constant"]
+
+    far, _ = run_json(
+        capsys, tmp_path, "b4", "bounds", "--lambda", "0,1,3", "--coeffs", "0:1,1:1,3:-1",
+        "--N", "300",
+    )
+    row = far["instances"][0]
+    assert row["proposition_constant"] < row["implied_constant"]
 
 
 def test_bounds_requires_lambda_or_random(capsys, tmp_path, monkeypatch):

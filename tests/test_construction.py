@@ -66,6 +66,12 @@ def test_build_matches_digit_oracle():
         assert dict(c.all_ones.terms) == {n: 1 + 0j for n in oracle}
 
 
+def test_build_does_not_enumerate():
+    c = build(4, 12)
+    assert "lam" not in vars(c) and "signs" not in vars(c)
+    assert (c.N, c.lam_size) == (4**12 - 1, 3**12)  # N has all 12 digits equal to 3
+
+
 def test_build_validates_parameters():
     with pytest.raises(ValueError):
         build(3, 2)
@@ -229,8 +235,8 @@ def test_construction_error_type_exists():
 
 
 def test_to_json_shape():
-    doc = build(10, 2).to_json()
-    assert doc["D"] == 10 and doc["k"] == 2
-    assert doc["lambda"] == [0, 1, 3, 10, 11, 13, 30, 31, 33]
-    assert doc["signs"]["13"] == -1
-    assert doc["N"] == 33
+    c = build(10, 2)
+    doc = c.to_json()
+    assert doc == {"D": 10, "k": 2, "N": 33, "lam_size": 3**2}
+    assert "lambda" not in doc and "signs" not in doc
+    assert c.lam == (0, 1, 3, 10, 11, 13, 30, 31, 33)

@@ -139,10 +139,13 @@ def test_signs_conjugation_invariance():
 
 
 def test_roots_q2_reduces_to_signs():
-    signs = exhaustive_signs((0, 1, 3), 3.0)
-    roots = exhaustive_roots((0, 1, 3), 3.0, 2)
-    assert roots.best_coeffs == signs.best_coeffs
-    assert roots.best_ratio == pytest.approx(signs.best_ratio, rel=1e-12)
+    for lam in ((0, 1, 3), (0, 1, 3, 8, 9, 11, 24, 25, 27, 64)):
+        signs = exhaustive_signs(lam, 3.0)
+        roots = exhaustive_roots(lam, 3.0, 2)
+        assert roots.best_coeffs == signs.best_coeffs
+        assert roots.best_ratio == signs.best_ratio
+        assert roots.evaluations == signs.evaluations
+        assert (signs.method, roots.method) == ("exhaustive-signs", "exhaustive-roots")
 
 
 def test_roots_q4_dominates_sign_search():

@@ -49,12 +49,6 @@ def test_step_function_validation():
         StepFunction(0, ())
 
 
-def test_step_text_round_trip(rng):
-    r = random_step(rng, 12)
-    again = StepFunction.from_text(r.to_text())
-    assert again == r
-
-
 def test_step_mean_constant():
     assert step_mean(StepFunction(8, (2.5,) * 8)) == 2.5
 
