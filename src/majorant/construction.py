@@ -15,8 +15,8 @@ with the sign of n equal to (-1)^(number of base-D digits of n equal to 3).
 Two identities make the family computable: the all-ones exponential sum over
 Lambda equals ``prod_i majorant_base(D^i theta)`` term for term, and the
 signed sum equals ``prod_i flipped_base(D^i theta)``.  Norm computations
-therefore evaluate k small factors per quadrature point instead of touching
-3^k expanded terms.
+therefore run the transfer operator of the three-term base k times instead
+of touching 3^k expanded terms.
 
 D >= 4 is required so that 3 is a valid base-D digit and max(Lambda) < D^k.
 """
@@ -165,9 +165,9 @@ def ratio_at(
 ) -> RatioResult:
     """||signed||_p / ||all-ones||_p through the product forms.
 
-    Even integer p routes through the exact coefficient method (note the
-    expanded product has 3^k terms, affordable for small k); other p use
-    quadrature on the O(k)-per-point product evaluation.
+    Both norms come from the transfer operator of the base, exact for even
+    integer p, so the cost grows linearly in k and no 3^k expansion or
+    degree-sized grid is ever formed.
     """
     n_all = norm(c.all_ones_product(), p, rel_tol)
     n_sgn = norm(c.signed_product(), p, rel_tol)

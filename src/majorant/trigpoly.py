@@ -231,8 +231,10 @@ def product_of_dilates(P: TrigPoly, D: int, k: int) -> TrigPoly:
 class DilatedProduct:
     """Lazy view of ``prod_{i<k} base(D^i * theta)``.
 
-    Keeps evaluation at O(k) work per grid point instead of the 3^k (or
-    worse) terms of the expanded product; :meth:`expand` gives the exact
+    Stores the base and (D, k) only.  Norms of products go through the
+    transfer operator in :mod:`majorant.norms`, at a cost set by the base
+    rather than by the product's degree; :meth:`sample_uniform` evaluates
+    with O(k) work per grid point and :meth:`expand` gives the exact
     coefficient form when it is affordable.
     """
 
@@ -264,17 +266,6 @@ class DilatedProduct:
     def coefficient_l1(self) -> float:
         # Submultiplicative, exact when the dilates are dissociated.
         return self.base.coefficient_l1() ** self.k
-
-    def eval(self, theta):
-        th = np.asarray(theta, dtype=float)
-        out = np.ones(th.shape, dtype=complex)
-        scale = 1
-        for _ in range(self.k):
-            out = out * self.base.eval((scale * th) % 1.0)
-            scale *= self.D
-        if np.isscalar(theta) or th.shape == ():
-            return complex(out)
-        return out
 
     def sample_uniform(self, m: int, shift: float = 0.0) -> np.ndarray:
         """Values on the uniform m-grid via index gathers on one base grid.

@@ -123,13 +123,45 @@ def test_construct_out_of_memory_exits_1(capsys, tmp_path, monkeypatch):
     import majorant.norms
 
     def no_memory(*args, **kwargs):
-        raise MemoryError("cannot allocate the grid")
+        raise MemoryError("cannot allocate the transfer matrix")
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(majorant.norms, "norm_quad", no_memory)
+    monkeypatch.setattr(majorant.norms, "norm_transfer", no_memory)
     code, _, err = run(capsys, "construct", "--D", "8", "--k", "2")
     assert code == 1
     assert "numeric failure" in err
+
+
+def test_construct_large_k_makes_no_quadrature_call(capsys, tmp_path, monkeypatch):
+    # Lambda(8, 10) has 59,049 elements and degree ~3.5e9: a quadrature
+    # grid for it would not fit in memory.
+    import majorant.cli
+    import majorant.norms
+
+    calls = []
+    real = majorant.norms.norm_quad
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(majorant.norms, "norm_quad", spy)
+    monkeypatch.setattr(majorant.cli, "norm_quad", spy)
+    results, _ = run_json(capsys, tmp_path, "c10", "construct", "--D", "8", "--k", "10", "--p", "3")
+    assert calls == []
+    assert results["norm_signed"]["method"] == "transfer"
+    assert results["ratio"] > 1 and 0 < results["eta"] < 1 / 18
+
+
+def test_construct_large_k_even_moments_are_exact(capsys, tmp_path):
+    # {0, 1, 3} is Sidon and D = 8 > 6 keeps digit sums from carrying, so
+    # both fourth moments are 15^k; at k = 12 the sums have 531,441 terms.
+    results, _ = run_json(capsys, tmp_path, "c12", "construct", "--D", "8", "--k", "12", "--p", "4")
+    for key in ("norm_all_ones", "norm_signed"):
+        est = results[key]
+        assert est["method"] == "even-exact"
+        assert est["value"] ** 4 == 15**12  # 15^3 is exact, so is its 4th power
+    assert results["ratio"] == 1.0
 
 
 def test_construct_by_target_length(capsys, tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from majorant import (
@@ -12,9 +14,11 @@ from majorant import (
     flipped_base,
     majorant_base,
     make,
+    norm,
     norm_even,
     norm_l2,
     norm_quad,
+    norm_transfer,
     sup_norm_bracket,
 )
 from conftest import random_int_poly
@@ -149,7 +153,9 @@ def test_quad_on_product_form_matches_expanded():
     lazy = DilatedProduct(flipped_base(), 16, 2)
     a = norm_quad(lazy, 3.0, 1e-10).value
     b = norm_quad(lazy.expand(), 3.0, 1e-10).value
+    c = norm_transfer(lazy, 3.0, 1e-10).value
     assert a == pytest.approx(b, rel=1e-9)
+    assert c == pytest.approx(b, rel=1e-9)
 
 
 def test_quad_empty_polynomial():
@@ -200,6 +206,115 @@ def test_quad_validates_arguments():
         norm_quad(majorant_base(), 3.0, rel_tol=0.0)
 
 
+# -- products of dilates: the transfer route ----------------------------------------
+
+
+def pow2_quad(P, p, rel_tol):
+    """Quadrature oracle on the expanded polynomial from a power-of-two grid.
+
+    From the default odd start grid a polynomial in e(2 theta) samples the
+    same points on m and 2m, so the first doubling reports convergence
+    without refining; power-of-two grids refine at every doubling.
+    """
+    return norm_quad(P, p, rel_tol, start_grid=1 << (8 * max(P.degree, 1)).bit_length())
+
+
+int_bases = st.dictionaries(
+    st.integers(-6, 6), st.integers(-3, 3).filter(bool), min_size=1, max_size=4
+).map(lambda d: make(d.items()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(int_bases, st.integers(4, 16), st.integers(1, 3), st.sampled_from([1.5, 2.5, 3.0, 3.7, 5.0]))
+def test_transfer_matches_quadrature_on_expanded(base, D, k, p):
+    P = DilatedProduct(base, D, k)
+    est = norm(P, p, 1e-9)
+    assert est.method == "transfer"
+    assert est.value == pytest.approx(pow2_quad(P.expand(), p, 1e-11).value, rel=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(st.integers(-6, 6), st.integers(-2, 2).filter(bool), min_size=1, max_size=3).map(
+        lambda d: make(d.items())
+    ),
+    st.integers(4, 16),
+    st.integers(1, 3),
+    st.sampled_from([2, 4, 6]),
+)
+def test_even_transfer_is_exact(base, D, k, p):
+    # l1(base) <= 6, so every intermediate is an integer below 6^18 < 2^53
+    P = DilatedProduct(base, D, k)
+    assert even_moment(P, p) == even_moment(P.expand(), p)
+    assert norm_even(P, p) == norm_even(P.expand(), p)
+
+
+def test_transfer_needs_a_grid_well_above_the_index_span():
+    # At D = 64 the indices D n - j span 2(D+1)K + 1 values; a grid too close
+    # to that span aliases them and the result is garbage.
+    for base in (majorant_base(), flipped_base()):
+        P = DilatedProduct(base, 64, 2)
+        got = norm_transfer(P, 3.0, 1e-10)
+        assert got.value == pytest.approx(norm_quad(P.expand(), 3.0, 1e-11).value, rel=1e-9)
+
+
+def test_transfer_on_a_base_with_a_zero():
+    # |1 + e(theta)|^3 vanishes at 1/2.  The converged value comes from
+    # quadrature at 1e-12 (grid 37,440) and from every K >= 64; norm_quad at
+    # 1e-9 stops at 3.395696864932799, 7.9e-9 away, with a bound of 1.3e-11.
+    want = 3.395696891641626
+    est = norm(DilatedProduct(make([(0, 1), (1, 1)]), 8, 3), 3.0, 1e-9)
+    assert est.value == pytest.approx(want, rel=1e-10)
+    assert est.error_bound <= 1e-9 * est.value
+
+
+def test_transfer_on_a_base_whose_frequencies_share_a_factor():
+    # |1 + e(2 theta)|^2.5 vanishes at 1/4 and 3/4.  Iterated on this base
+    # as given, K = 8 and K = 16 agree to 2e-11 relative while both are
+    # 2.9e-8 off; on its primitive form 1 + e(theta) the doubling test holds.
+    P = DilatedProduct(make([(0, -1), (2, -1)]), 10, 3)
+    got = norm_transfer(P, 2.5, 1e-10).value
+    assert got == pytest.approx(pow2_quad(P.expand(), 2.5, 1e-12).value, rel=1e-10)
+
+
+def test_transfer_reaches_the_frequency_cap():
+    # k = 21 is the largest k at D = 8 inside the 64-bit frequency range
+    # (degree ~4e18): no grid or expansion could hold the product
+    P = DilatedProduct(majorant_base(), 8, 21)
+    est = norm(P, 3.0, 1e-9)
+    assert est.method == "transfer"
+    assert est.grid_size == 2 * 16 + 1
+    assert even_moment(P, 4) == pytest.approx(15.0**21, rel=1e-14)
+    # exact while the moment fits in 53 bits
+    assert 15**13 < 2**53
+    assert even_moment(DilatedProduct(majorant_base(), 8, 13), 4) == 15**13
+
+
+def test_transfer_of_zero_and_single_term_bases():
+    assert norm_transfer(DilatedProduct(make([]), 8, 3), 3.0).value == 0.0
+    est = norm_transfer(DilatedProduct(make([(5, 2)]), 8, 3), 2.5)
+    assert est.value == pytest.approx(8.0, rel=1e-15)
+
+
+def test_transfer_nonconvergence_carries_estimates(monkeypatch):
+    import majorant.norms
+
+    monkeypatch.setattr(majorant.norms, "TRANSFER_MAX_DOUBLINGS", 1)
+    with pytest.raises(QuadratureConvergenceError) as info:
+        norm_transfer(DilatedProduct(make([(0, 1), (1, 1)]), 8, 3), 3.0, 1e-9)
+    err = info.value
+    assert err.last != err.previous
+    assert err.grid_size == 2 * 16 + 1
+
+
+def test_transfer_validates_arguments():
+    P = DilatedProduct(majorant_base(), 8, 2)
+    with pytest.raises(ValueError):
+        norm_transfer(P, 0.5)
+    with pytest.raises(ValueError):
+        norm_transfer(P, 3.0, rel_tol=0.0)
+
+
 # -- sup_norm_bracket ------------------------------------------------------------
 
 
@@ -235,6 +350,8 @@ def test_norm_estimate_validation():
         NormEstimate(value=-1.0, p=2.0, method="parseval")
     with pytest.raises(ValueError):
         NormEstimate(value=1.0, p=2.0, method="quadrature")  # no grid
+    with pytest.raises(ValueError):
+        NormEstimate(value=1.0, p=3.0, method="transfer")  # no mode count
     with pytest.raises(ValueError):
         NormEstimate(value=1.0, p=2.0, method="fft")
 

@@ -255,13 +255,6 @@ def test_dilated_product_matches_expansion():
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
-def test_dilated_product_eval_points():
-    lazy = DilatedProduct(majorant_base(), 8, 3)
-    dense = lazy.expand()
-    for theta in (0.0, 0.125, 0.3, 0.77):
-        assert lazy.eval(theta) == pytest.approx(dense.eval(theta), abs=1e-9)
-
-
 def test_dilated_product_rejects_shifted_grid():
     with pytest.raises(ValueError):
         DilatedProduct(majorant_base(), 8, 2).sample_uniform(64, shift=0.5)
