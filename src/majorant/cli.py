@@ -484,6 +484,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _thread_count(threads) -> int:
+    """``--threads``, else ``MAJORANT_THREADS``, else 1; a positive integer."""
+    raw = str(os.environ.get("MAJORANT_THREADS", "1") if threads is None else threads)
+    if not raw.isdecimal() or int(raw) < 1:
+        raise UsageError(f"thread count must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -491,9 +499,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help/--version
         return int(exc.code or 0)
-    if args.threads is None:
-        args.threads = int(os.environ.get("MAJORANT_THREADS", "1"))
     try:
+        args.threads = _thread_count(args.threads)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

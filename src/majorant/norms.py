@@ -143,9 +143,11 @@ def is_even_integer(p: float) -> bool:
 
 
 def starting_grid(degree: int) -> int:
-    """First quadrature grid: generous enough that the dominant frequencies
-    cannot alias even before any refinement."""
-    return max(256, 8 * degree + 1)
+    """First quadrature grid: a power of two above 8 * degree, so the
+    dominant frequencies cannot alias before any refinement.  From an odd
+    start m, a polynomial in e(2r theta) has the same samples on m and 2m
+    and the first doubling would stop without refining."""
+    return 1 << max(8, (8 * degree).bit_length())
 
 
 def norm_quad(
@@ -154,7 +156,6 @@ def norm_quad(
     rel_tol: float = DEFAULT_REL_TOL,
     *,
     max_doublings: int = DEFAULT_MAX_DOUBLINGS,
-    start_grid: Optional[int] = None,
 ) -> NormEstimate:
     """L^p norm by uniform-grid quadrature with grid doubling.
 
@@ -166,7 +167,7 @@ def norm_quad(
     estimates if the budget of doublings is exhausted.
     """
     _check_args(p, rel_tol)
-    m = start_grid if start_grid is not None else starting_grid(P.degree)
+    m = starting_grid(P.degree)
     half_p = 0.5 * p
 
     def estimate(m):

@@ -17,15 +17,20 @@ re-scored with fully adaptive quadrature.  Tie-breaking picks the
 lexicographically smallest pattern (+1 before -1, lower root index first)
 among candidates within the tolerance of the maximum, so results are
 deterministic and thread-count independent.
+
+The scan scores patterns in chunks of consecutive codes, in one pass that
+keeps only each chunk's maximum.  The earliest qualifying pattern lies in
+the first chunk whose maximum reaches the tolerance floor, so that single
+chunk is scored again to find it: at most one chunk more than the number
+of patterns is scored.
 """
 from __future__ import annotations
 
 import math
 import operator
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -36,14 +41,9 @@ from .trigpoly import TrigPoly, make
 DEFAULT_BUDGET = 1 << 24
 _MODULUS_SLACK = 1e-12
 _CHUNK = 1 << 12
+_MAX_SWEEPS = 50
 
 _TWO_PI = 2.0 * np.pi
-
-
-def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is None:
-        threads = int(os.environ.get("MAJORANT_THREADS", "1"))
-    return max(1, int(threads))
 
 
 @dataclass(frozen=True)
@@ -155,23 +155,22 @@ class _Scanner:
             # grid mean integrates |P|^p exactly once m > p * degree
             m = max(m, int(p) * max(lam) + 1)
         theta = np.arange(m) / m
-        self.grid = m
         self.p = p
         self.rows = np.exp(1j * _TWO_PI * np.outer(np.asarray(lam, float), theta))
-        ones = self.rows.sum(axis=0)
-        self.den_moment = self._moment(ones[None, :])[0]
+        self.den_moment = self._moment(self.rows.sum(axis=0))
 
     def _moment(self, vals: np.ndarray) -> np.ndarray:
         sq = vals.real**2 + vals.imag**2
-        return np.mean(sq ** (0.5 * self.p), axis=1)
+        return np.mean(sq ** (0.5 * self.p), axis=-1)
+
+    def value_ratios(self, vals: np.ndarray) -> np.ndarray:
+        """Grid norm ratios, against the all-ones sum, of values sampled on
+        the grid (grid points on the last axis)."""
+        return (self._moment(vals) / self.den_moment) ** (1.0 / self.p)
 
     def ratios(self, coeff_rows: np.ndarray) -> np.ndarray:
         """Grid norm ratios for a batch of coefficient vectors."""
-        vals = coeff_rows @ self.rows
-        return (self._moment(vals) / self.den_moment) ** (1.0 / self.p)
-
-    def ratio_one(self, coeff_vec: np.ndarray) -> float:
-        return float(self.ratios(coeff_vec[None, :])[0])
+        return self.value_ratios(coeff_rows @ self.rows)
 
 
 def _codes_to_roots(codes: np.ndarray, t: int, q: int) -> np.ndarray:
@@ -197,38 +196,24 @@ def _scan_codes(
 ) -> Tuple[int, float]:
     """Best code on the shared grid; ties go to the smallest code.
 
-    Two passes (global max, then earliest qualifying code) so the result is
-    identical however the chunks are distributed over workers.
+    One pass records each chunk's maximum; only the first chunk whose
+    maximum reaches the floor ``best * (1 - rel_tol)`` holds the earliest
+    qualifying code, so only it is scored again.  Chunks are scored
+    independently, so the result does not depend on ``threads``.
     """
-    starts = list(range(0, n_patterns, _CHUNK))
+    starts = range(0, n_patterns, _CHUNK)
 
-    def chunk_max(s: int) -> float:
+    def chunk(s: int) -> Tuple[np.ndarray, np.ndarray]:
         codes = np.arange(s, min(s + _CHUNK, n_patterns), dtype=np.int64)
-        return float(np.max(scanner.ratios(decode(codes))))
+        return codes, scanner.ratios(decode(codes))
 
-    def chunk_pick(args) -> Optional[int]:
-        s, floor = args
-        codes = np.arange(s, min(s + _CHUNK, n_patterns), dtype=np.int64)
-        ratios = scanner.ratios(decode(codes))
-        hits = np.nonzero(ratios >= floor)[0]
-        return int(codes[hits[0]]) if hits.size else None
-
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            maxima = list(pool.map(chunk_max, starts))
-            best = max(maxima)
-            floor = best * (1.0 - rel_tol)
-            picks = list(pool.map(chunk_pick, [(s, floor) for s in starts]))
-    else:
-        maxima = [chunk_max(s) for s in starts]
-        best = max(maxima)
-        floor = best * (1.0 - rel_tol)
-        picks = [chunk_pick((s, floor)) for s in starts]
-
-    for pick in picks:  # chunk index order == ascending code order
-        if pick is not None:
-            return pick, best
-    raise AssertionError("scan found no qualifying pattern")
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        maxima = list(pool.map(lambda s: float(np.max(chunk(s)[1])), starts))
+    best = max(maxima)
+    floor = best * (1.0 - rel_tol)
+    first = next(s for s, top in zip(starts, maxima) if top >= floor)
+    codes, ratios = chunk(first)
+    return int(codes[np.argmax(ratios >= floor)]), best
 
 
 def _exhaustive(
@@ -238,7 +223,7 @@ def _exhaustive(
     method: str,
     rel_tol: float,
     budget: int,
-    threads: Optional[int],
+    threads: int,
 ) -> SearchReport:
     """Enumerate coefficients over q-th roots of unity, first pinned to 1.
 
@@ -260,7 +245,6 @@ def _exhaustive(
             required=n_patterns,
             budget=budget,
         )
-    threads = _resolve_threads(threads)
     scanner = _Scanner(lam, p, rel_tol)
     decode = lambda codes: _codes_to_roots(codes, t, q)  # noqa: E731
     best_code, _ = _scan_codes(scanner, n_patterns, decode, rel_tol, threads)
@@ -283,7 +267,7 @@ def exhaustive_signs(
     rel_tol: float = DEFAULT_REL_TOL,
     *,
     budget: int = DEFAULT_BUDGET,
-    threads: Optional[int] = None,
+    threads: int = 1,
 ) -> SearchReport:
     """Enumerate all sign patterns with the first coefficient pinned to +1:
     :func:`exhaustive_roots` at q = 2."""
@@ -297,7 +281,7 @@ def exhaustive_roots(
     rel_tol: float = DEFAULT_REL_TOL,
     *,
     budget: int = DEFAULT_BUDGET,
-    threads: Optional[int] = None,
+    threads: int = 1,
 ) -> SearchReport:
     """Enumerate coefficients over q-th roots of unity, first pinned to 1."""
     return _exhaustive(lam, p, q, "exhaustive-roots", rel_tol, budget, threads)
@@ -332,7 +316,6 @@ def phase_ascent(
     rel_tol: float = DEFAULT_REL_TOL,
     *,
     extra_starts: Sequence[Mapping[int, complex]] = (),
-    max_sweeps: int = 50,
 ) -> SearchReport:
     """Coordinate-wise phase optimisation over unimodular coefficients.
 
@@ -357,7 +340,7 @@ def phase_ascent(
     def ratio_of(vec: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
-        return scanner.ratio_one(vec)
+        return float(scanner.ratios(vec))
 
     starts = [np.ones(t, dtype=complex)]
     for extra in extra_starts:
@@ -375,7 +358,7 @@ def phase_ascent(
     for start in starts:
         vec = start.astype(complex).copy()
         current = ratio_of(vec)
-        for _ in range(max_sweeps):
+        for _ in range(_MAX_SWEEPS):
             improved = current
             for i in range(1, t):
                 vals_wo = (vec @ rows) - vec[i] * rows[i]
@@ -384,9 +367,7 @@ def phase_ascent(
                     nonlocal evaluations
                     evaluations += 1
                     v = vals_wo + np.exp(1j * _TWO_PI * phi) * rows[i]
-                    sq = v.real**2 + v.imag**2
-                    moment = float(np.mean(sq ** (0.5 * scanner.p)))
-                    return (moment / scanner.den_moment) ** (1.0 / scanner.p)
+                    return float(scanner.value_ratios(v))
 
                 scores = [slice_ratio(phi) for phi in coarse]
                 j = int(np.argmax(scores))

@@ -34,7 +34,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .errors import EnvelopeResolutionError
-from .norms import DEFAULT_REL_TOL, norm_quad
+from .norms import DEFAULT_REL_TOL, norm_quad, starting_grid
 from .trigpoly import TrigPoly, product_of_dilates
 
 DEFAULT_SAMPLE_BUDGET = 1 << 24
@@ -315,7 +315,7 @@ def sandwich_bounds(
     else:
         # quasi-norm territory: a plain fine-grid estimate, uncertified like
         # everything else in the best-effort path
-        m = 8 * max(P.degree, 32) + 1
+        m = starting_grid(P.degree)
         vals = P.sample_uniform(m)
         sq = vals.real * vals.real + vals.imag * vals.imag
         target = (float(np.sum(sq ** (0.5 * alpha))) / m) ** (1.0 / alpha)

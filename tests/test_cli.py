@@ -196,6 +196,23 @@ def test_search_signs(capsys, tmp_path):
     assert results["best_ratio"] > 1
 
 
+def test_search_rejects_a_nonpositive_thread_count(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for bad in ("0", "-2"):
+        code, _, err = run(capsys, "search", "--lambda", "0,1,3", "--p", "3", "--threads", bad)
+        assert code == 2
+        assert err.startswith("error:") and bad in err
+    assert not list(tmp_path.iterdir())  # no manifest records the bad value
+
+
+def test_search_rejects_a_non_integer_thread_env(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("MAJORANT_THREADS", "abc")
+    code, _, err = run(capsys, "search", "--lambda", "0,1,3", "--p", "3")
+    assert code == 2
+    assert err.startswith("error:") and "abc" in err
+
+
 def test_search_phase_ascent_seeded(capsys, tmp_path):
     a, _ = run_json(
         capsys,

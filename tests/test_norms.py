@@ -139,6 +139,17 @@ def test_quad_matches_independent_oracle_and_frozen_values():
 def test_quad_starting_grid_scales_with_degree():
     est = norm_quad(make([(0, 1), (100, 1)]), 2.0, 1e-9)
     assert est.grid_size >= 8 * 100 + 1
+    assert est.grid_size & (est.grid_size - 1) == 0
+
+
+def test_quad_refines_polynomials_in_an_even_dilate():
+    # Every frequency of this expansion is a multiple of 6.  From an odd
+    # start grid m, grids m and 2m sampled the same points, so the first
+    # doubling reported convergence at 16.485693 with a bound of 7e-15,
+    # 5.2e-6 relative from the value 16.4856070118.
+    P = DilatedProduct(make([(-6, 3), (0, -3)]), 8, 2)
+    got = norm_quad(P.expand(), 1.5, 1e-10).value
+    assert got == pytest.approx(norm_transfer(P, 1.5, 1e-10).value, rel=1e-8)
 
 
 def test_quad_consistent_with_even_for_high_degree():
@@ -209,16 +220,6 @@ def test_quad_validates_arguments():
 # -- products of dilates: the transfer route ----------------------------------------
 
 
-def pow2_quad(P, p, rel_tol):
-    """Quadrature oracle on the expanded polynomial from a power-of-two grid.
-
-    From the default odd start grid a polynomial in e(2 theta) samples the
-    same points on m and 2m, so the first doubling reports convergence
-    without refining; power-of-two grids refine at every doubling.
-    """
-    return norm_quad(P, p, rel_tol, start_grid=1 << (8 * max(P.degree, 1)).bit_length())
-
-
 int_bases = st.dictionaries(
     st.integers(-6, 6), st.integers(-3, 3).filter(bool), min_size=1, max_size=4
 ).map(lambda d: make(d.items()))
@@ -230,7 +231,7 @@ def test_transfer_matches_quadrature_on_expanded(base, D, k, p):
     P = DilatedProduct(base, D, k)
     est = norm(P, p, 1e-9)
     assert est.method == "transfer"
-    assert est.value == pytest.approx(pow2_quad(P.expand(), p, 1e-11).value, rel=1e-8)
+    assert est.value == pytest.approx(norm_quad(P.expand(), p, 1e-11).value, rel=1e-8)
 
 
 @settings(max_examples=40, deadline=None)
@@ -274,7 +275,7 @@ def test_transfer_on_a_base_whose_frequencies_share_a_factor():
     # 2.9e-8 off; on its primitive form 1 + e(theta) the doubling test holds.
     P = DilatedProduct(make([(0, -1), (2, -1)]), 10, 3)
     got = norm_transfer(P, 2.5, 1e-10).value
-    assert got == pytest.approx(pow2_quad(P.expand(), 2.5, 1e-12).value, rel=1e-10)
+    assert got == pytest.approx(norm_quad(P.expand(), 2.5, 1e-12).value, rel=1e-10)
 
 
 def test_transfer_reaches_the_frequency_cap():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import majorant.search as search_module
 from majorant import (
     MajorantInstance,
     SearchBudgetError,
@@ -113,11 +114,34 @@ def test_signs_budget_error():
     assert "phase_ascent" in str(info.value)
 
 
-def test_signs_thread_count_does_not_change_report():
-    lam = tuple(range(14))
-    a = exhaustive_signs(lam, 4.0, threads=1)
-    b = exhaustive_signs(lam, 4.0, threads=4)
-    assert a == b
+@pytest.mark.parametrize(
+    "search, threads",
+    [
+        (lambda threads: exhaustive_signs(tuple(range(14)), 4.0, threads=threads), 4),
+        # 3^8 = 6561 patterns: two scan chunks
+        (lambda threads: exhaustive_roots(tuple(range(9)), 3.0, 3, threads=threads), 3),
+    ],
+    ids=["signs", "roots-q3"],
+)
+def test_signs_thread_count_does_not_change_report(search, threads):
+    assert search(1) == search(threads)
+
+
+def test_exhaustive_scores_each_pattern_once_plus_one_chunk(monkeypatch):
+    lam = (0, 1, 3, 4, 6, 9, 10, 12, 13, 15, 18, 19, 21, 22)  # 2^13 patterns
+    whole = exhaustive_signs(lam, 3.0)
+    scored = []
+    score = search_module._Scanner.ratios
+
+    def counting(self, coeff_rows):
+        scored.append(len(coeff_rows))
+        return score(self, coeff_rows)
+
+    monkeypatch.setattr(search_module._Scanner, "ratios", counting)
+    # the best code, 3475, now lies in chunk 54 of 128
+    monkeypatch.setattr(search_module, "_CHUNK", 64)
+    assert exhaustive_signs(lam, 3.0) == whole
+    assert sum(scored) <= 2**13 + 64
 
 
 def test_signs_translation_and_dilation_invariance():
