@@ -100,9 +100,6 @@ class ChainReport:
         "implied_constant",
     )
 
-    def csv_row(self) -> list:
-        return [getattr(self, f) for f in self.CSV_FIELDS]
-
 
 def _relative_slack(lhs: float, rhs: float) -> float:
     return (rhs - lhs) / max(rhs, 1e-300)

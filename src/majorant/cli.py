@@ -145,7 +145,7 @@ def render_results(command: str, results: dict) -> str:
         lines.append(f"  best_coeffs=[{coeffs}]")
     elif command == "lemma":
         lines.append(
-            f"  alpha={results['alpha']:g} D={results['D']} k={results['k']} "
+            f"  alpha={results['alpha']:g} D={results['D']} "
             f"delta={results['delta']:g} certified={results['certified']}"
         )
         lines.append(
@@ -194,8 +194,6 @@ def _emit(args, command: str, results: dict, parameters: dict, seed: int):
 
 def _cmd_norm(args) -> int:
     poly = parse_poly_spec(args.poly)
-    if args.p < 1:
-        raise UsageError("p must be >= 1")
     if args.force_quadrature:
         est = norm_quad(poly, args.p, args.tol)
     else:
@@ -212,7 +210,7 @@ def _cmd_construct(args) -> int:
         k = args.k if args.k is not None else fit_k(args.D, args.N)
         cons = build(args.D, k)
         ratio, n_all, n_sgn = ratio_at(cons, args.p, args.tol)
-        eta = eta_empirical(cons, args.tol, ratio=ratio)
+        eta = eta_empirical(cons, ratio)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     results = {
@@ -257,19 +255,13 @@ def _cmd_lemma(args) -> int:
             "uncertified sampling pass"
         )
     result = sandwich_bounds(
-        poly,
-        args.alpha,
-        args.D,
-        args.delta,
-        args.k,
-        args.tol,
-        best_effort=args.best_effort,
+        poly, args.alpha, args.D, args.delta, args.tol, best_effort=args.best_effort
     )
     _emit(
         args,
         "lemma",
         result.to_json(),
-        _params(args, "poly", "alpha", "D", "delta", "k", "tol", "best_effort"),
+        _params(args, "poly", "alpha", "D", "delta", "tol", "best_effort"),
         args.seed,
     )
     return 0
@@ -285,7 +277,9 @@ def _random_instance(rng, max_n: int, max_size: int) -> MajorantInstance:
 
 def _cmd_bounds(args) -> int:
     instances = []
-    if args.random:
+    if args.random is not None:
+        if args.random < 1:
+            raise UsageError(f"--random COUNT must be >= 1, got {args.random}")
         rng = np.random.default_rng(args.seed)
         for _ in range(args.random):
             instances.append(_random_instance(rng, args.max_n, args.max_size))
@@ -453,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--D", type=int, required=True, help="cell count = dilation base")
     sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--k", type=int, default=1)
     sp.add_argument(
         "--best-effort",
         action="store_true",

@@ -179,19 +179,12 @@ def ratio3(c: DigitConstruction, rel_tol: float = DEFAULT_REL_TOL) -> RatioResul
     return ratio_at(c, 3.0, rel_tol)
 
 
-def eta_empirical(
-    c: DigitConstruction,
-    rel_tol: float = DEFAULT_REL_TOL,
-    *,
-    ratio: float | None = None,
-) -> float:
-    """Growth exponent ``log(ratio) / (k log D)``.
+def eta_empirical(c: DigitConstruction, ratio: float) -> float:
+    """Growth exponent ``log(ratio) / (k log D)`` of a ratio from
+    :func:`ratio3`.
 
     With N < D^k, a cube-norm ratio of r over Lambda(D, k) witnesses a
     majorant constant at least N^eta with eta = log(r)/(k log D).  Positive
-    exactly when the ratio exceeds 1.  Pass ``ratio`` to reuse a value from
-    :func:`ratio3`; otherwise it is computed at ``rel_tol``.
+    exactly when the ratio exceeds 1.
     """
-    if ratio is None:
-        ratio = ratio3(c, rel_tol).ratio
     return math.log(ratio) / (c.k * math.log(c.D))

@@ -1,11 +1,11 @@
 """L^p norms on the torus: ``(integral_0^1 |P(theta)|^p dtheta)^(1/p)``.
 
-Four routes with different guarantees, and :func:`norm` to pick between
-the last three:
+Three routes with different guarantees, and :func:`norm` to pick between
+them:
 
-* :func:`norm_l2` reads the norm off the coefficients (Parseval), exact.
 * :func:`norm_even` is exact for even integer p: the p-th moment is
-  ``||P^(p/2)||_2^2``, a finite piece of coefficient algebra.  On a
+  ``||P^(p/2)||_2^2``, a finite piece of coefficient algebra (at p = 2 it
+  is Parseval's sum of ``|c_n|^2``).  On a
   :class:`~majorant.trigpoly.DilatedProduct` it runs the transfer-operator
   recursion below on the polynomial ``|base|^p`` and never expands the
   product.
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +45,7 @@ DEFAULT_MAX_DOUBLINGS = 20
 # The transfer route starts from max(TRANSFER_START_MODES, degree of the
 # base) retained modes on each side and doubles at most this many times.
 TRANSFER_START_MODES = 8
-TRANSFER_MAX_DOUBLINGS = 6
+TRANSFER_MAX_DOUBLINGS = 7
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class NormEstimate:
 
     value: float
     p: float
-    method: str  # "parseval" | "even-exact" | "quadrature" | "transfer"
+    method: str  # "even-exact" | "quadrature" | "transfer"
     error_bound: float = 0.0
     grid_size: Optional[int] = None
 
@@ -69,7 +69,7 @@ class NormEstimate:
             raise ValueError("norm value must be nonnegative")
         if self.error_bound < 0:
             raise ValueError("error bound must be nonnegative")
-        if self.method not in ("parseval", "even-exact", "quadrature", "transfer"):
+        if self.method not in ("even-exact", "quadrature", "transfer"):
             raise ValueError(f"unknown method tag {self.method!r}")
         if self.method in ("quadrature", "transfer") and self.grid_size is None:
             raise ValueError(f"{self.method} estimates must record their grid")
@@ -82,11 +82,6 @@ class NormEstimate:
             "error_bound": self.error_bound,
             "grid_size": self.grid_size,
         }
-
-
-def norm_l2(P: TrigPoly) -> NormEstimate:
-    """sqrt(sum |c_n|^2), exact by Parseval."""
-    return NormEstimate(value=float(np.sqrt(_energy(P))), p=2.0, method="parseval")
 
 
 def _energy(P: TrigPoly) -> float:
@@ -150,13 +145,7 @@ def starting_grid(degree: int) -> int:
     return 1 << max(8, (8 * degree).bit_length())
 
 
-def norm_quad(
-    P,
-    p: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    *,
-    max_doublings: int = DEFAULT_MAX_DOUBLINGS,
-) -> NormEstimate:
+def norm_quad(P, p: float, rel_tol: float = DEFAULT_REL_TOL) -> NormEstimate:
     """L^p norm by uniform-grid quadrature with grid doubling.
 
     Doubles the grid until two successive estimates agree to ``rel_tol``
@@ -164,7 +153,7 @@ def norm_quad(
     Powers are computed as ``(|P|^2)^(p/2)`` from the real squared modulus.
 
     Raises :class:`QuadratureConvergenceError` carrying the last two
-    estimates if the budget of doublings is exhausted.
+    estimates if ``DEFAULT_MAX_DOUBLINGS`` doublings do not suffice.
     """
     _check_args(p, rel_tol)
     m = starting_grid(P.degree)
@@ -175,7 +164,7 @@ def norm_quad(
         sq = vals.real * vals.real + vals.imag * vals.imag
         return (float(np.sum(sq**half_p)) / m) ** (1.0 / p)
 
-    return _refine(estimate, m, max_doublings, rel_tol, p, "quadrature", lambda m: m)
+    return _refine(estimate, m, DEFAULT_MAX_DOUBLINGS, rel_tol, p, "quadrature", lambda m: m)
 
 
 def norm_transfer(P: DilatedProduct, p: float, rel_tol: float = DEFAULT_REL_TOL) -> NormEstimate:
@@ -227,10 +216,11 @@ def _primitive(base: TrigPoly) -> TrigPoly:
 
 
 def _check_args(p: float, rel_tol: float) -> None:
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+    # the negated comparisons are False for NaN, so NaN fails them too
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
+    if not 0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be a finite positive number, got {rel_tol}")
 
 
 def _refine(estimate, size, max_doublings, rel_tol, p, method, grid_of) -> NormEstimate:
@@ -265,25 +255,10 @@ def norm(P, p: float, rel_tol: float = DEFAULT_REL_TOL) -> NormEstimate:
     """L^p norm by the best route: exact for even integer p, the transfer
     operator for other p on a product of dilates, quadrature at ``rel_tol``
     otherwise."""
+    _check_args(p, rel_tol)
     if is_even_integer(p):
         return norm_even(P, int(p))
     if isinstance(P, DilatedProduct):
         return norm_transfer(P, p, rel_tol)
     return norm_quad(P, p, rel_tol)
 
-
-def sup_norm_bracket(P, grid: int) -> Tuple[float, float]:
-    """Two-sided bracket for the sup norm.
-
-    ``lower`` is the max of |P| over the uniform grid, ``upper`` the
-    coefficient l1 sum; ``lower <= sup|P| <= upper`` always holds.
-    """
-    grid = operator.index(grid)
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
-    upper = P.coefficient_l1()
-    if upper == 0.0:
-        return (0.0, 0.0)
-    vals = P.sample_uniform(grid)
-    lower = float(np.sqrt(np.max(vals.real * vals.real + vals.imag * vals.imag)))
-    return (lower, upper)

@@ -84,10 +84,6 @@ class MajorantInstance:
             raise ValueError("coefficient vector length must match lambda")
         return cls(lam, dict(zip(lam, (complex(v) for v in vector))))
 
-    def vector(self) -> Tuple[complex, ...]:
-        """Coefficients aligned with the sorted frequency list (0 if absent)."""
-        return tuple(self.coeffs.get(n, 0j) for n in self.lam)
-
     def numerator_poly(self) -> TrigPoly:
         return make(self.coeffs.items())
 
@@ -117,9 +113,6 @@ class SearchReport:
     method: str  # "exhaustive-signs" | "exhaustive-roots" | "phase-ascent"
     evaluations: int
     tolerance: float
-
-    def best_instance(self) -> MajorantInstance:
-        return MajorantInstance.from_vector(self.lam, self.best_coeffs)
 
     def to_json(self) -> dict:
         return {
@@ -314,8 +307,6 @@ def phase_ascent(
     restarts: int = 8,
     seed: int = 0,
     rel_tol: float = DEFAULT_REL_TOL,
-    *,
-    extra_starts: Sequence[Mapping[int, complex]] = (),
 ) -> SearchReport:
     """Coordinate-wise phase optimisation over unimodular coefficients.
 
@@ -323,9 +314,8 @@ def phase_ascent(
     golden-section refinement); sweeps repeat until no coordinate improves
     the ratio by more than ``rel_tol``.  The all-ones vector is always the
     first start, so the returned ratio is never below 1 - rel_tol; the
-    remaining ``restarts - 1`` starts are seeded random phase vectors, plus
-    any ``extra_starts`` (coefficient maps, e.g. digit signs).  Deterministic
-    for a fixed seed.
+    remaining ``restarts - 1`` starts are seeded random phase vectors.
+    Deterministic for a fixed seed.
     """
     lam = tuple(sorted({operator.index(n) for n in lam}))
     if not lam:
@@ -343,9 +333,6 @@ def phase_ascent(
         return float(scanner.ratios(vec))
 
     starts = [np.ones(t, dtype=complex)]
-    for extra in extra_starts:
-        vec = np.asarray([complex(extra.get(n, 0.0)) for n in lam])
-        starts.append(vec)
     for _ in range(restarts - 1):
         phases = rng.random(t)
         phases[0] = 0.0  # global phase pinned

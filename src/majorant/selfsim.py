@@ -37,8 +37,9 @@ from .errors import EnvelopeResolutionError
 from .norms import DEFAULT_REL_TOL, norm_quad, starting_grid
 from .trigpoly import TrigPoly, product_of_dilates
 
-DEFAULT_SAMPLE_BUDGET = 1 << 24
-DEFAULT_ENUMERATION_LIMIT = 1 << 22
+SAMPLE_BUDGET = 1 << 24
+ENUMERATION_LIMIT = 1 << 22
+BEST_EFFORT_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,12 @@ class SelfSimIntegral(NamedTuple):
     enumerated: bool
 
 
-def step_selfsim_integral(
-    r: StepFunction, k: int, enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> SelfSimIntegral:
+def step_selfsim_integral(r: StepFunction, k: int) -> SelfSimIntegral:
     """Both sides of the factorisation identity for a step function.
 
     ``closed_form`` is ``step_mean(r)^k``.  ``direct`` sums the product of
     cell values over all D^k digit strings, each weighted by its interval
-    length D^(-k).  When D^k exceeds ``enumeration_limit`` the direct side
+    length D^(-k).  When D^k exceeds ``ENUMERATION_LIMIT`` the direct side
     falls back to the algebraic factorisation of the digit sum and the
     result is flagged with ``enumerated=False``.
     """
@@ -87,7 +86,7 @@ def step_selfsim_integral(
         raise ValueError("k must be >= 1")
     closed = step_mean(r) ** k
     total_cells = r.D**k
-    if total_cells <= enumeration_limit:
+    if total_cells <= ENUMERATION_LIMIT:
         vals = r.as_array()
         prods = np.ones(1, dtype=float)
         for _ in range(k):
@@ -151,14 +150,7 @@ def _sampled_powers(P: TrigPoly, alpha: float, total: int) -> np.ndarray:
     return sq ** (0.5 * alpha)
 
 
-def step_envelopes(
-    P: TrigPoly,
-    alpha: float,
-    D: int,
-    delta: float,
-    *,
-    max_samples: int = DEFAULT_SAMPLE_BUDGET,
-) -> EnvelopePair:
+def step_envelopes(P: TrigPoly, alpha: float, D: int, delta: float) -> EnvelopePair:
     """Certified step-function envelopes ``rminus <= |P|^alpha <= rplus``.
 
     Midpoint samples per cell plus the Lipschitz radius correction give
@@ -167,7 +159,7 @@ def step_envelopes(
     how much |P|^alpha genuinely moves inside a cell, roughly its total
     variation divided by D) are reported in the result.
 
-    Raises :class:`EnvelopeResolutionError` when the sample budget cannot
+    Raises :class:`EnvelopeResolutionError` when ``SAMPLE_BUDGET`` cannot
     push the correction below delta/4 at this D; the error advises the cell
     count at which the Lipschitz bound certifies width <= delta outright.
     """
@@ -187,11 +179,11 @@ def step_envelopes(
         S = 1
     else:
         S = max(4, math.ceil(2.0 * L / (D * delta)))
-    if D * S > max_samples:
+    if D * S > SAMPLE_BUDGET:
         min_cells = math.ceil(2.0 * L / delta)
         raise EnvelopeResolutionError(
             f"achieving correction delta/4 = {delta / 4} at D={D} needs "
-            f"{D * S} samples (> budget {max_samples}); at D >= {min_cells} "
+            f"{D * S} samples (> budget {SAMPLE_BUDGET}); at D >= {min_cells} "
             f"the Lipschitz bound certifies envelope width <= delta directly",
             min_cells=min_cells,
             required_samples=D * S,
@@ -215,18 +207,17 @@ def step_envelopes(
     )
 
 
-def sample_envelopes(
-    P: TrigPoly, alpha: float, D: int, samples_per_cell: int = 64
-) -> EnvelopePair:
-    """Best-effort envelopes from raw cell extrema, no Lipschitz correction.
+def sample_envelopes(P: TrigPoly, alpha: float, D: int) -> EnvelopePair:
+    """Best-effort envelopes from the extrema of ``BEST_EFFORT_SAMPLES``
+    samples per cell, no Lipschitz correction.
 
     Works for any alpha > 0 but carries no pointwise guarantee; results are
     flagged ``certified=False`` and should be labelled as such downstream.
     """
     D = operator.index(D)
-    S = operator.index(samples_per_cell)
-    if D < 1 or S < 1:
-        raise ValueError("cell count and samples per cell must be >= 1")
+    S = BEST_EFFORT_SAMPLES
+    if D < 1:
+        raise ValueError("cell count D must be >= 1")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     powers = _sampled_powers(P, alpha, D * S).reshape(D, S)
@@ -258,7 +249,6 @@ class SandwichResult:
 
     alpha: float
     D: int
-    k: int
     delta: float
     lower: float
     upper: float
@@ -270,7 +260,6 @@ class SandwichResult:
         return {
             "alpha": self.alpha,
             "D": self.D,
-            "k": self.k,
             "delta": self.delta,
             "lower": self.lower,
             "upper": self.upper,
@@ -285,7 +274,6 @@ def sandwich_bounds(
     alpha: float,
     D: int,
     delta: float,
-    k: int = 1,
     rel_tol: float = DEFAULT_REL_TOL,
     *,
     best_effort: bool = False,
@@ -298,12 +286,8 @@ def sandwich_bounds(
         mean(rminus)^k <= ||prod_{i<k} P(D^i .)||_alpha^alpha <= mean(rplus)^k,
 
     so ``lower = mean(rminus)^(1/alpha)`` and ``upper = mean(rplus)^(1/alpha)``
-    bound the k-th root of the product norm independently of k.  ``k`` is
-    recorded for reporting only.
+    bound the k-th root of the product norm independently of k.
     """
-    k = operator.index(k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if best_effort:
         env = sample_envelopes(P, alpha, D)
     else:
@@ -322,7 +306,6 @@ def sandwich_bounds(
     return SandwichResult(
         alpha=float(alpha),
         D=D,
-        k=k,
         delta=float(delta),
         lower=lower,
         upper=upper,

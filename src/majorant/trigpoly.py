@@ -178,12 +178,11 @@ class TrigPoly:
         return make((int(t[0]), complex(float(t[1]), float(t[2]))) for t in triples)
 
 
-def make(pairs: Iterable[Tuple[int, complex]], drop_tol: float = 0.0) -> TrigPoly:
+def make(pairs: Iterable[Tuple[int, complex]]) -> TrigPoly:
     """Build a canonical polynomial from (frequency, coefficient) pairs.
 
-    Duplicate frequencies are summed.  Coefficients equal to exact zero are
-    dropped; with ``drop_tol > 0`` coefficients of modulus <= drop_tol are
-    dropped too.  The default of 0 never alters inexact data silently.
+    Duplicate frequencies are summed and coefficients equal to exact zero
+    are dropped; inexact small values are never dropped silently.
     """
     acc: dict = {}
     for n, c in pairs:
@@ -194,9 +193,8 @@ def make(pairs: Iterable[Tuple[int, complex]], drop_tol: float = 0.0) -> TrigPol
     terms = {}
     for n in sorted(acc):
         c = acc[n]
-        if c == 0 or (drop_tol > 0.0 and abs(c) <= drop_tol):
-            continue
-        terms[n] = c
+        if c != 0:
+            terms[n] = c
     return TrigPoly(terms)
 
 
@@ -211,21 +209,27 @@ def product_of_dilates(P: TrigPoly, D: int, k: int) -> TrigPoly:
     Frequencies grow like degree(P) * D^(k-1); the span is checked against
     the 64-bit range up front and the call fails loudly rather than wrapping.
     """
+    D, k = _checked_dilates(P, D, k)
+    out = P
+    for i in range(1, k):
+        out = out * P.dilate(D**i)
+    return out
+
+
+def _checked_dilates(base: TrigPoly, D: int, k: int) -> Tuple[int, int]:
+    """(D, k) as ints, after checking D >= 2, k >= 1 and the 64-bit span."""
     D = operator.index(D)
     k = operator.index(k)
     if D < 2:
         raise ValueError("dilation base D must be >= 2")
     if k < 1:
         raise ValueError("number of factors k must be >= 1")
-    if P and _dilate_span(P.degree, D, k) > MAX_FREQUENCY:
+    if base and _dilate_span(base.degree, D, k) > MAX_FREQUENCY:
         raise FrequencyOverflowError(
-            f"product of {k} dilates of degree {P.degree} at base {D} "
+            f"product of {k} dilates of degree {base.degree} at base {D} "
             f"exceeds the 64-bit frequency range"
         )
-    out = P
-    for i in range(1, k):
-        out = out * P.dilate(D**i)
-    return out
+    return D, k
 
 
 class DilatedProduct:
@@ -241,17 +245,7 @@ class DilatedProduct:
     __slots__ = ("base", "D", "k")
 
     def __init__(self, base: TrigPoly, D: int, k: int):
-        D = operator.index(D)
-        k = operator.index(k)
-        if D < 2:
-            raise ValueError("dilation base D must be >= 2")
-        if k < 1:
-            raise ValueError("number of factors k must be >= 1")
-        if base and _dilate_span(base.degree, D, k) > MAX_FREQUENCY:
-            raise FrequencyOverflowError(
-                f"product of {k} dilates of degree {base.degree} at base {D} "
-                f"exceeds the 64-bit frequency range"
-            )
+        D, k = _checked_dilates(base, D, k)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "k", k)

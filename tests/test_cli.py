@@ -105,6 +105,35 @@ def test_norm_bad_poly_exits_2(capsys, tmp_path, monkeypatch):
     assert "token 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("norm", "--p", "nan"),
+        ("norm", "--p", "inf"),
+        ("norm", "--p", "3", "--tol", "nan"),
+        ("norm", "--p", "3", "--tol", "inf"),
+        ("norm", "--p", "4", "--tol", "nan"),
+        ("construct", "--D", "8", "--k", "3", "--p", "inf"),
+        ("construct", "--D", "8", "--k", "3", "--p", "nan"),
+    ],
+    ids=[
+        "norm-p-nan", "norm-p-inf", "norm-tol-nan", "norm-tol-inf", "norm-even-p-tol-nan",
+        "construct-p-inf", "construct-p-nan",
+    ],
+)
+def test_non_finite_p_or_tol_exits_2(capsys, tmp_path, monkeypatch, argv):
+    # NaN slips past `p < 1` and `tol <= 0`; at p = inf the norm is the sup
+    # norm, which no route computes
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "norm":
+        argv = (*argv, "--poly", "0:1,1:1,3:-1")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+    assert not list(tmp_path.iterdir())  # no manifest
+
+
 # -- construct -----------------------------------------------------------------
 
 
@@ -269,6 +298,7 @@ def test_lemma_brackets(capsys, tmp_path):
     )
     assert results["lower"] <= results["target"] <= results["upper"]
     assert results["certified"]
+    assert "k" not in results  # the bounds hold for every k at once
 
 
 def test_lemma_small_alpha_needs_best_effort(capsys, tmp_path, monkeypatch):
@@ -359,6 +389,17 @@ def test_bounds_requires_lambda_or_random(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, _ = run(capsys, "bounds")
     assert code == 2
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_bounds_random_count_must_be_positive(capsys, tmp_path, monkeypatch, count):
+    # an empty batch would leave a manifest that `report` cannot summarise
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "bounds", "--random", count)
+    assert code == 2
+    assert out == ""
+    assert "--random" in err
+    assert not list(tmp_path.iterdir())
 
 
 # -- report and manifests ---------------------------------------------------------

@@ -1,6 +1,8 @@
+import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import majorant
 
@@ -12,3 +14,19 @@ def test_import_does_not_load_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, majorant; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_traced_benchmark_targets_resolve():
+    # perfbench/tracing.py rebinds these names during a traced run; a name
+    # deleted from the package must fail here, not in the benchmark.  The
+    # file is compiled from its text, so nothing is written next to it.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    scope = {"__name__": "perfbench_tracing"}
+    exec(compile(path.read_text(), str(path), "exec"), scope)
+    assert scope["TARGETS"]
+    for span, module, attr_path, _ in scope["TARGETS"]:
+        owner = importlib.import_module(f"majorant.{module}")
+        for part in attr_path.split("."):
+            owner = getattr(owner, part, None)
+            assert owner is not None, f"{span}: majorant.{module}.{attr_path} is gone"
+        assert callable(owner), span

@@ -111,9 +111,17 @@ def test_selfsim_random_agreement(rng):
         assert res.enumerated
 
 
-def test_selfsim_falls_back_past_enumeration_limit(rng):
+def test_selfsim_falls_back_past_enumeration_limit(rng, monkeypatch):
+    import majorant.selfsim
+
     r = random_step(rng, 16)
     res = step_selfsim_integral(r, 8)  # 16^8 cells is far past the limit
+    assert not res.enumerated
+    assert res.direct == pytest.approx(res.closed_form, rel=1e-12)
+    # the limit is read at call time: 16^3 cells enumerate, 16^4 do not
+    monkeypatch.setattr(majorant.selfsim, "ENUMERATION_LIMIT", 16**3)
+    assert step_selfsim_integral(r, 3).enumerated
+    res = step_selfsim_integral(r, 4)
     assert not res.enumerated
     assert res.direct == pytest.approx(res.closed_form, rel=1e-12)
 
@@ -235,7 +243,8 @@ def test_envelopes_error_advises_min_cells():
 
 
 def test_sample_envelopes_best_effort():
-    env = sample_envelopes(majorant_base(), 0.5, 64, 32)
+    env = sample_envelopes(majorant_base(), 0.5, 64)
+    assert env.samples_per_cell == 64
     assert not env.certified
     assert env.correction == 0.0
     assert all(
@@ -279,6 +288,7 @@ def test_sandwich_bounds_products_for_every_k():
 
 
 def test_sandwich_json_fields():
-    doc = sandwich_bounds(majorant_base(), 3.0, 256, 0.2, k=2).to_json()
-    assert set(doc) >= {"alpha", "D", "k", "delta", "lower", "upper", "target"}
-    assert doc["k"] == 2
+    doc = sandwich_bounds(majorant_base(), 3.0, 256, 0.2).to_json()
+    assert set(doc) >= {"alpha", "D", "delta", "lower", "upper", "target"}
+    # the bounds hold for every k at once, so no k is recorded
+    assert "k" not in doc

@@ -44,9 +44,9 @@ def test_make_merges_duplicates():
 
 
 def test_make_drop_tol_only_when_requested():
-    pairs = [(0, 1e-14), (1, 1.0)]
-    assert len(make(pairs)) == 2  # default never drops inexact values
-    assert len(make(pairs, drop_tol=1e-12)) == 1
+    # only exact zeros are dropped, never small inexact values
+    pairs = [(0, 1e-14), (1, 1.0), (2, 0.0)]
+    assert dict(make(pairs).terms) == {0: 1e-14 + 0j, 1: 1 + 0j}
 
 
 def test_make_rejects_non_integer_frequency():
