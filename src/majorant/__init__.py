@@ -15,13 +15,10 @@ from .bounds import (
 from .construction import (
     DigitConstruction,
     build,
-    digit_sign,
-    digit_weight,
     eta_empirical,
     fit_k,
     flipped_base,
     majorant_base,
-    ratio3,
     ratio_at,
 )
 from .errors import (
@@ -81,8 +78,6 @@ __all__ = [
     "StepFunction",
     "TrigPoly",
     "build",
-    "digit_sign",
-    "digit_weight",
     "eta_empirical",
     "even_moment",
     "exhaustive_roots",
@@ -101,7 +96,6 @@ __all__ = [
     "phase_ascent",
     "product_of_dilates",
     "proposition_check",
-    "ratio3",
     "ratio_at",
     "sample_envelopes",
     "sandwich_bounds",

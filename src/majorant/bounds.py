@@ -22,7 +22,7 @@ directions are asserted.  All slacks are relative: (rhs - lhs) / rhs.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -70,35 +70,11 @@ class ChainReport:
         )
 
     def to_json(self) -> dict:
-        return {
-            "lam_size": self.lam_size,
-            "N": self.N,
-            "sup_coeff": self.sup_coeff,
-            "norm_F2": self.norm_F2,
-            "norm_F3": self.norm_F3,
-            "norm_F4": self.norm_F4,
-            "norm_Ta3": self.norm_Ta3,
-            "slack_interpolation": self.slack_interpolation,
-            "slack_monotonicity": self.slack_monotonicity,
-            "slack_sup_step": self.slack_sup_step,
-            "slack_combined": self.slack_combined,
-            "implied_constant": self.implied_constant,
-        }
+        return {**asdict(self), "implied_constant": self.implied_constant}
 
-    CSV_FIELDS = (
-        "lam_size",
-        "N",
-        "sup_coeff",
-        "norm_F2",
-        "norm_F3",
-        "norm_F4",
-        "norm_Ta3",
-        "slack_interpolation",
-        "slack_monotonicity",
-        "slack_sup_step",
-        "slack_combined",
-        "implied_constant",
-    )
+
+# the columns of ``bounds --csv``: the keys of ChainReport.to_json, in order
+CSV_FIELDS = tuple(f.name for f in fields(ChainReport)) + ("implied_constant",)
 
 
 def _relative_slack(lhs: float, rhs: float) -> float:

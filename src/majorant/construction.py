@@ -12,11 +12,12 @@ exponent.  The k-digit set is
     Lambda(D, k) = { sum_i eps_i D^i : eps_i in {0, 1, 3} },
 
 with the sign of n equal to (-1)^(number of base-D digits of n equal to 3).
-Two identities make the family computable: the all-ones exponential sum over
-Lambda equals ``prod_i majorant_base(D^i theta)`` term for term, and the
-signed sum equals ``prod_i flipped_base(D^i theta)``.  Norm computations
-therefore run the transfer operator of the three-term base k times instead
-of touching 3^k expanded terms.
+The family is held in product form only: the all-ones exponential sum over
+Lambda is ``prod_i majorant_base(D^i theta)`` term for term, and the signed
+sum is ``prod_i flipped_base(D^i theta)``, so a construction is its
+parameters (D, k).  Norm computations run the transfer operator of the
+three-term base k times instead of touching 3^k expanded terms;
+``DilatedProduct.expand`` gives the coefficient form when it is affordable.
 
 D >= 4 is required so that 3 is a valid base-D digit and max(Lambda) < D^k.
 """
@@ -25,15 +26,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product as iter_product
-from typing import Mapping, NamedTuple, Tuple
+from typing import NamedTuple
 
 from .errors import FrequencyOverflowError
 from .norms import DEFAULT_REL_TOL, NormEstimate, norm
 from .trigpoly import MAX_FREQUENCY, DilatedProduct, TrigPoly, make
-
-DIGITS = (0, 1, 3)
 
 
 def majorant_base() -> TrigPoly:
@@ -46,35 +43,12 @@ def flipped_base() -> TrigPoly:
     return make([(0, 1), (1, 1), (3, -1)])
 
 
-def digit_weight(n: int, D: int) -> int:
-    """Number of base-D digits of n equal to 3."""
-    n = operator.index(n)
-    D = operator.index(D)
-    if n < 0:
-        raise ValueError("digit_weight needs n >= 0")
-    if D < 4:
-        raise ValueError("digit base must be >= 4")
-    w = 0
-    while n:
-        n, r = divmod(n, D)
-        if r == 3:
-            w += 1
-    return w
-
-
-def digit_sign(n: int, D: int) -> int:
-    """(-1) to the number of 3-digits of n in base D."""
-    return -1 if digit_weight(n, D) % 2 else 1
-
-
 @dataclass(frozen=True)
 class DigitConstruction:
     """Lambda(D, k) with its digit signs, stored as its parameters.
 
-    ``N = max(lam)`` and ``lam_size = 3^k`` are closed forms.  The set, the
-    signs and the expanded sums (``all_ones`` with coefficient 1 on every
-    element of ``lam``, ``signed`` carrying the digit signs) have 3^k
-    entries each and are built on first use only.  Immutable.
+    ``N = max(Lambda)`` and ``lam_size = 3^k`` are closed forms; the
+    all-ones and signed sums exist only in product form.  Immutable.
     """
 
     D: int
@@ -88,27 +62,6 @@ class DigitConstruction:
     @property
     def lam_size(self) -> int:
         return 3**self.k
-
-    @cached_property
-    def signs(self) -> Mapping[int, int]:
-        """Digit sign of every element, enumerated digit by digit."""
-        signs = {}
-        for eps in iter_product(DIGITS, repeat=self.k):
-            n = sum(e * self.D**i for i, e in enumerate(eps))
-            signs[n] = -1 if eps.count(3) % 2 else 1
-        return signs
-
-    @cached_property
-    def lam(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.signs))
-
-    @cached_property
-    def all_ones(self) -> TrigPoly:
-        return self.all_ones_product().expand()
-
-    @cached_property
-    def signed(self) -> TrigPoly:
-        return self.signed_product().expand()
 
     def all_ones_product(self) -> DilatedProduct:
         """Product form of the all-ones sum, for O(k)-per-point evaluation."""
@@ -174,14 +127,9 @@ def ratio_at(
     return RatioResult(n_sgn.value / n_all.value, n_all, n_sgn)
 
 
-def ratio3(c: DigitConstruction, rel_tol: float = DEFAULT_REL_TOL) -> RatioResult:
-    """The cube-norm ratio, the quantity the whole construction is about."""
-    return ratio_at(c, 3.0, rel_tol)
-
-
 def eta_empirical(c: DigitConstruction, ratio: float) -> float:
-    """Growth exponent ``log(ratio) / (k log D)`` of a ratio from
-    :func:`ratio3`.
+    """Growth exponent ``log(ratio) / (k log D)`` of a cube-norm ratio from
+    :func:`ratio_at`.
 
     With N < D^k, a cube-norm ratio of r over Lambda(D, k) witnesses a
     majorant constant at least N^eta with eta = log(r)/(k log D).  Positive

@@ -35,7 +35,7 @@ from typing import Iterable, Mapping, Sequence, Tuple
 import numpy as np
 
 from .errors import SearchBudgetError
-from .norms import DEFAULT_REL_TOL, is_even_integer, norm, norm_quad
+from .norms import DEFAULT_REL_TOL, _abs_power, is_even_integer, norm, norm_quad
 from .trigpoly import TrigPoly, make
 
 DEFAULT_BUDGET = 1 << 24
@@ -95,12 +95,6 @@ class MajorantInstance:
             return 0.0
         return max(abs(c) for c in self.coeffs.values())
 
-    def to_json(self) -> dict:
-        return {
-            "lambda": list(self.lam),
-            "coeffs": [[n, c.real, c.imag] for n, c in sorted(self.coeffs.items())],
-        }
-
 
 @dataclass(frozen=True)
 class SearchReport:
@@ -153,8 +147,7 @@ class _Scanner:
         self.den_moment = self._moment(self.rows.sum(axis=0))
 
     def _moment(self, vals: np.ndarray) -> np.ndarray:
-        sq = vals.real**2 + vals.imag**2
-        return np.mean(sq ** (0.5 * self.p), axis=-1)
+        return np.mean(_abs_power(vals, self.p), axis=-1)
 
     def value_ratios(self, vals: np.ndarray) -> np.ndarray:
         """Grid norm ratios, against the all-ones sum, of values sampled on

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from .errors import EnvelopeResolutionError
-from .norms import DEFAULT_REL_TOL, norm_quad, starting_grid
+from .norms import DEFAULT_REL_TOL, _abs_power, _grid_norm, norm_quad, starting_grid
 from .trigpoly import TrigPoly, product_of_dilates
 
 SAMPLE_BUDGET = 1 << 24
@@ -144,10 +144,15 @@ def lipschitz_bound(P: TrigPoly, alpha: float) -> float:
     return alpha * l1 ** (alpha - 1.0) * 2.0 * math.pi * P.weighted_l1()
 
 
+def _check_positive(**values: float) -> None:
+    for name, value in values.items():
+        # the negated comparison is False for NaN, so NaN fails it too
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be a finite positive number, got {value}")
+
+
 def _sampled_powers(P: TrigPoly, alpha: float, total: int) -> np.ndarray:
-    vals = P.sample_uniform(total, shift=0.5)
-    sq = vals.real * vals.real + vals.imag * vals.imag
-    return sq ** (0.5 * alpha)
+    return _abs_power(P.sample_uniform(total, shift=0.5), alpha)
 
 
 def step_envelopes(P: TrigPoly, alpha: float, D: int, delta: float) -> EnvelopePair:
@@ -166,13 +171,12 @@ def step_envelopes(P: TrigPoly, alpha: float, D: int, delta: float) -> EnvelopeP
     D = operator.index(D)
     if D < 1:
         raise ValueError("cell count D must be >= 1")
+    _check_positive(alpha=alpha, delta=delta)
     if alpha < 1:
         raise ValueError(
             "certified envelopes need alpha >= 1 (the derivative bound "
             "degenerates below 1); use sample_envelopes for a best-effort pass"
         )
-    if delta <= 0:
-        raise ValueError("delta must be positive")
 
     L = lipschitz_bound(P, alpha)
     if L == 0.0:
@@ -218,8 +222,7 @@ def sample_envelopes(P: TrigPoly, alpha: float, D: int) -> EnvelopePair:
     S = BEST_EFFORT_SAMPLES
     if D < 1:
         raise ValueError("cell count D must be >= 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_positive(alpha=alpha)
     powers = _sampled_powers(P, alpha, D * S).reshape(D, S)
     upper = powers.max(axis=1)
     lower = powers.min(axis=1)
@@ -257,16 +260,7 @@ class SandwichResult:
     certified: bool = True
 
     def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "D": self.D,
-            "delta": self.delta,
-            "lower": self.lower,
-            "upper": self.upper,
-            "target": self.target,
-            "envelope_gap": self.envelope_gap,
-            "certified": self.certified,
-        }
+        return asdict(self)
 
 
 def sandwich_bounds(
@@ -288,6 +282,7 @@ def sandwich_bounds(
     so ``lower = mean(rminus)^(1/alpha)`` and ``upper = mean(rplus)^(1/alpha)``
     bound the k-th root of the product norm independently of k.
     """
+    _check_positive(delta=delta)
     if best_effort:
         env = sample_envelopes(P, alpha, D)
     else:
@@ -299,10 +294,7 @@ def sandwich_bounds(
     else:
         # quasi-norm territory: a plain fine-grid estimate, uncertified like
         # everything else in the best-effort path
-        m = starting_grid(P.degree)
-        vals = P.sample_uniform(m)
-        sq = vals.real * vals.real + vals.imag * vals.imag
-        target = (float(np.sum(sq ** (0.5 * alpha))) / m) ** (1.0 / alpha)
+        target = _grid_norm(P, alpha, starting_grid(P.degree))
     return SandwichResult(
         alpha=float(alpha),
         D=D,

@@ -151,22 +151,6 @@ class TrigPoly:
                 acc[n] = acc.get(n, 0j) + c1 * c2
         return make(acc.items())
 
-    def __add__(self, other) -> "TrigPoly":
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        acc = dict(self._terms)
-        for n, c in other._terms.items():
-            acc[n] = acc.get(n, 0j) + c
-        return make(acc.items())
-
-    def __sub__(self, other) -> "TrigPoly":
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "TrigPoly":
-        return make((n, -c) for n, c in self._terms.items())
-
     # -- serialization ------------------------------------------------------
 
     def to_triples(self) -> list:
@@ -256,10 +240,6 @@ class DilatedProduct:
     @property
     def degree(self) -> int:
         return _dilate_span(self.base.degree, self.D, self.k)
-
-    def coefficient_l1(self) -> float:
-        # Submultiplicative, exact when the dilates are dissociated.
-        return self.base.coefficient_l1() ** self.k
 
     def sample_uniform(self, m: int, shift: float = 0.0) -> np.ndarray:
         """Values on the uniform m-grid via index gathers on one base grid.

@@ -21,7 +21,7 @@ from majorant import (
     norm_even,
     norm_quad,
     peak_lower_bound,
-    ratio3,
+    ratio_at,
     sandwich_bounds,
     step_selfsim_integral,
     trig_selfsim_check,
@@ -128,7 +128,7 @@ def test_criterion_6_growth_chain_at_desk_scale():
     etas = []
     for k in (1, 2, 3):
         cons = build(D, k)
-        res = ratio3(cons, 1e-9)
+        res = ratio_at(cons, 3.0, 1e-9)
         assert res.ratio >= c_cert**k
         eta = eta_empirical(cons, ratio=res.ratio)
         assert eta > 0

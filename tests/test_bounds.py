@@ -11,9 +11,10 @@ from majorant import (
     interpolation_check,
     peak_lower_bound,
     proposition_check,
-    ratio3,
+    ratio_at,
     upper_exponent,
 )
+from majorant.bounds import CSV_FIELDS
 from conftest import random_instance
 from test_norms import CUBE_NORM_ALL_ONES, CUBE_NORM_FLIPPED
 
@@ -89,7 +90,8 @@ def test_chain_random_instances(rng):
 def test_chain_report_serialization():
     report = interpolation_check(MajorantInstance.all_ones((0, 2)))
     doc = report.to_json()
-    assert set(report.CSV_FIELDS) <= set(doc)
+    assert tuple(doc) == CSV_FIELDS
+    assert doc["implied_constant"] == report.implied_constant
 
 
 # -- peak lower bound -------------------------------------------------------------
@@ -114,7 +116,8 @@ def test_peak_singleton_is_unimodular():
 
 def test_peak_digit_construction():
     cons = build(10, 2)
-    res = peak_lower_bound(cons.lam, cons.N, 1025)
+    lam = tuple(cons.all_ones_product().expand().terms)
+    res = peak_lower_bound(lam, cons.N, 1025)
     assert res.measured >= 4.5
     assert res.predicted == 4.5
     assert res.cube_norm_lower == pytest.approx(4.5**3 / (5 * 33), rel=1e-12)
@@ -166,7 +169,7 @@ def test_proposition_respects_explicit_N():
 def test_eta_never_exceeds_the_ceiling():
     for D, k in ((32, 1), (32, 2), (16, 2)):
         cons = build(D, k)
-        res = ratio3(cons, 1e-9)
+        res = ratio_at(cons, 3.0, 1e-9)
         eta = eta_empirical(cons, ratio=res.ratio)
         assert eta <= float(upper_exponent(3)) + 1e-6
 
@@ -175,8 +178,7 @@ def test_construction_constant_stays_bounded():
     values = []
     for k in (1, 2):
         cons = build(10, k)
-        inst = MajorantInstance(
-            cons.lam, {n: complex(s) for n, s in cons.signs.items()}
-        )
+        signed = cons.signed_product().expand()
+        inst = MajorantInstance(tuple(signed.terms), dict(signed.terms))
         values.append(proposition_check(inst, cons.N))
     assert all(0 < v < 2 for v in values)

@@ -325,6 +325,33 @@ def test_lemma_numeric_failure_exits_1(capsys, tmp_path, monkeypatch):
     assert "numeric failure" in err
 
 
+@pytest.mark.parametrize(
+    "bad, args",
+    [
+        ("alpha", ("--alpha", "inf", "--delta", "0.05")),
+        ("alpha", ("--alpha", "nan", "--delta", "0.05")),
+        ("delta", ("--alpha", "3", "--delta", "inf")),
+        ("delta", ("--alpha", "3", "--delta", "nan")),
+        ("alpha", ("--alpha", "nan", "--delta", "0.05", "--best-effort")),
+        ("delta", ("--alpha", "0.5", "--delta", "nan", "--best-effort")),
+    ],
+    ids=[
+        "alpha-inf", "alpha-nan", "delta-inf", "delta-nan",
+        "best-effort-alpha-nan", "best-effort-delta-nan",
+    ],
+)
+def test_lemma_non_finite_alpha_or_delta_exits_2(capsys, tmp_path, monkeypatch, bad, args):
+    # inf alpha overflowed math.ceil in the envelope sizing, inf delta gave
+    # a "certified" sandwich from four samples per cell, and NaN alpha
+    # slipped past every comparison on the best-effort path
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "lemma", "--poly", "0:1,1:1,3:-1", "--D", "64", *args)
+    assert code == 2
+    assert out == ""
+    assert f"{bad} must be a finite positive number" in err
+    assert not list(tmp_path.iterdir())  # no manifest
+
+
 # -- bounds --------------------------------------------------------------------
 
 
@@ -359,6 +386,12 @@ def test_bounds_random_batch_csv(capsys, tmp_path, monkeypatch):
     assert code == 0, err
     lines = [ln for ln in out.strip().splitlines() if ln]
     assert len(lines) == 6  # header + one row per instance
+    assert lines[0].split(",") == [
+        "lam_size", "N", "sup_coeff", "norm_F2", "norm_F3", "norm_F4", "norm_Ta3",
+        "slack_interpolation", "slack_monotonicity", "slack_sup_step", "slack_combined",
+        "implied_constant", "peak_measured", "peak_predicted",
+    ]
+    assert all(len(ln.split(",")) == 14 for ln in lines)
 
 
 def test_bounds_computes_each_cube_norm_once(capsys, tmp_path, monkeypatch):

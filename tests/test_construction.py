@@ -7,15 +7,12 @@ from majorant import (
     ConstructionError,
     FrequencyOverflowError,
     build,
-    digit_sign,
-    digit_weight,
     eta_empirical,
     even_moment,
     fit_k,
     flipped_base,
     majorant_base,
     norm_quad,
-    ratio3,
     ratio_at,
 )
 from test_norms import CUBE_NORM_ALL_ONES, CUBE_NORM_FLIPPED
@@ -30,24 +27,38 @@ def digit_oracle(D, k):
     return out
 
 
+def oracle_sign(n, D):
+    """(-1) to the number of base-D digits of n equal to 3."""
+    sign = 1
+    while n:
+        n, r = divmod(n, D)
+        if r == 3:
+            sign = -sign
+    return sign
+
+
+def expanded(c):
+    """The all-ones and signed sums of a construction, coefficient form."""
+    return c.all_ones_product().expand(), c.signed_product().expand()
+
+
 # -- build ---------------------------------------------------------------------
 
 
 def test_build_ten_two():
     c = build(10, 2)
-    assert c.lam == (0, 1, 3, 10, 11, 13, 30, 31, 33)
-    assert c.signs[13] == -1
-    assert c.signs[33] == 1
-    assert c.signs[31] == -1
-    assert c.N == 33
+    ones, signed = expanded(c)
+    assert tuple(ones.terms) == (0, 1, 3, 10, 11, 13, 30, 31, 33)
+    assert signed.coefficient(13) == -1
+    assert signed.coefficient(33) == 1
+    assert signed.coefficient(31) == -1
+    assert c.N == 33 == max(signed.terms)
 
 
 def test_build_single_digit_gives_seed():
     for D in (4, 10, 32):
         c = build(D, 1)
-        assert c.lam == (0, 1, 3)
-        assert c.signed == flipped_base()
-        assert c.all_ones == majorant_base()
+        assert expanded(c) == (majorant_base(), flipped_base())
 
 
 def test_build_base_four_stays_below_power():
@@ -60,15 +71,15 @@ def test_build_matches_digit_oracle():
     for D, k in ((4, 3), (7, 2), (12, 3)):
         c = build(D, k)
         oracle = digit_oracle(D, k)
-        assert set(c.lam) == set(oracle)
-        assert dict(c.signs) == oracle
-        assert dict(c.signed.terms) == {n: complex(s) for n, s in oracle.items()}
-        assert dict(c.all_ones.terms) == {n: 1 + 0j for n in oracle}
+        ones, signed = expanded(c)
+        assert dict(signed.terms) == {n: complex(s) for n, s in oracle.items()}
+        assert dict(ones.terms) == {n: 1 + 0j for n in oracle}
+        assert (c.N, c.lam_size) == (max(oracle), len(oracle))
 
 
 def test_build_does_not_enumerate():
     c = build(4, 12)
-    assert "lam" not in vars(c) and "signs" not in vars(c)
+    assert vars(c) == {"D": 4, "k": 12}
     assert (c.N, c.lam_size) == (4**12 - 1, 3**12)  # N has all 12 digits equal to 3
 
 
@@ -83,29 +94,34 @@ def test_build_validates_parameters():
 
 def test_lambda_size_and_peak():
     c = build(6, 3)
-    assert len(c.lam) == 3**3
-    assert c.all_ones.eval(0.0) == pytest.approx(len(c.lam))
+    ones, _ = expanded(c)
+    assert len(ones) == c.lam_size == 3**3
+    assert ones.eval(0.0) == pytest.approx(c.lam_size)
 
 
-# -- digit weights and signs ------------------------------------------------------
+# -- digit signs ---------------------------------------------------------------------
 
 
-def test_digit_weight_examples():
-    assert digit_weight(13, 10) == 1
-    assert digit_weight(33, 10) == 2
-    assert digit_weight(0, 10) == 0
-    assert digit_sign(31, 10) == -1
+def test_signed_coefficient_examples():
+    _, signed = expanded(build(10, 3))
+    for n, sign in ((0, 1), (13, -1), (31, -1), (33, 1), (130, -1), (333, -1)):
+        assert signed.coefficient(n) == oracle_sign(n, 10) == sign
+    # the two oracles agree with each other
+    assert digit_oracle(10, 3) == {n: oracle_sign(n, 10) for n in digit_oracle(10, 3)}
 
 
 def test_sign_multiplicative_on_disjoint_digits(rng):
     # a_{m + n D^j} = a_m * a_{n D^j} when the digit supports are disjoint
+    # holds for the coefficients of the expanded signed product
     for _ in range(50):
         D = int(rng.integers(4, 20))
-        j = int(rng.integers(1, 5))
-        m = int(rng.integers(0, D**j))  # occupies digits below j
-        n = int(rng.integers(0, D**3))
-        shifted = n * D**j
-        assert digit_sign(m + shifted, D) == digit_sign(m, D) * digit_sign(shifted, D)
+        j = int(rng.integers(1, 4))
+        _, signed = expanded(build(D, 4))
+        lam = list(signed.terms)
+        m = lam[int(rng.integers(len(lam)))] % D**j  # occupies digits below j
+        shifted = lam[int(rng.integers(len(lam)))] // D**j * D**j
+        a = signed.coefficient
+        assert a(m + shifted) == a(m) * a(shifted) != 0
 
 
 # -- fit_k -------------------------------------------------------------------------
@@ -126,21 +142,20 @@ def test_fit_k_rejects_small_targets():
 # -- ratios and the exponent -------------------------------------------------------
 
 
-def test_ratio3_single_digit_matches_seed_norms():
+def test_cube_ratio_single_digit_matches_seed_norms():
     c = build(16, 1)
-    res = ratio3(c, 1e-10)
+    res = ratio_at(c, 3.0, 1e-10)
     assert res.norm_all_ones.value == pytest.approx(CUBE_NORM_ALL_ONES, rel=1e-9)
     assert res.norm_signed.value == pytest.approx(CUBE_NORM_FLIPPED, rel=1e-9)
     assert res.ratio > 1
 
 
-def test_ratio3_uses_product_form_consistently():
+def test_cube_ratio_uses_product_form_consistently():
     c = build(16, 2)
-    res = ratio3(c, 1e-10)
+    res = ratio_at(c, 3.0, 1e-10)
     # oracle: quadrature on the expanded coefficient polynomials
-    direct = (
-        norm_quad(c.signed, 3.0, 1e-10).value / norm_quad(c.all_ones, 3.0, 1e-10).value
-    )
+    ones, signed = expanded(c)
+    direct = norm_quad(signed, 3.0, 1e-10).value / norm_quad(ones, 3.0, 1e-10).value
     assert res.ratio == pytest.approx(direct, rel=1e-9)
     assert res.ratio > 1
 
@@ -149,15 +164,16 @@ def test_ratio_at_even_p_is_exactly_one():
     c = build(10, 2)
     assert ratio_at(c, 4).ratio == 1.0
     # the underlying even moments are the same integer
-    assert even_moment(c.all_ones, 4) == even_moment(c.signed, 4) == 225.0
+    ones, signed = expanded(c)
+    assert even_moment(ones, 4) == even_moment(signed, 4) == 225.0
 
 
 def test_even_moment_equality_for_clean_bases():
     # Digitwise pair sums stay below D from D = 7 on, so fourth moments
     # factor per digit and the signed pairs all align: equality at p = 2, 4.
-    c = build(10, 2)
+    ones, signed = expanded(build(10, 2))
     for p in (2, 4):
-        assert even_moment(c.all_ones, p) == even_moment(c.signed, p)
+        assert even_moment(ones, p) == even_moment(signed, p)
 
 
 def test_sixth_moment_is_strictly_smaller_for_signs():
@@ -177,17 +193,17 @@ def test_sixth_moment_is_strictly_smaller_for_signs():
     count_all = sum(v * v for v in plain.values())
     count_signed = sum(v * v for v in weighted.values())
     assert (count_all, count_signed) == (99, 87)
-    c = build(10, 2)
-    assert even_moment(c.all_ones, 6) == float(count_all**2)
-    assert even_moment(c.signed, 6) == float(count_signed**2)
+    ones, signed = expanded(build(10, 2))
+    assert even_moment(ones, 6) == float(count_all**2)
+    assert even_moment(signed, 6) == float(count_signed**2)
 
 
 def test_even_moment_equality_fails_below_carry_threshold():
     # At D = 4 carries create quadruples like 7 + 7 = 13 + 1 whose signs do
     # not cancel, so the fourth moments differ.  The coefficient algebra
     # must agree with brute-force quadruple counting on both sums.
-    c = build(4, 2)
-    lam = c.lam
+    ones, signed = expanded(build(4, 2))
+    lam = tuple(ones.terms)
 
     def brute(signs):
         return sum(
@@ -199,11 +215,10 @@ def test_even_moment_equality_fails_below_carry_threshold():
             if a + b == c_ + d
         )
 
-    ones = {n: 1 for n in lam}
-    mF = brute(ones)
-    mf = brute(c.signs)
-    assert even_moment(c.all_ones, 4) == float(mF)
-    assert even_moment(c.signed, 4) == float(mf)
+    mF = brute({n: 1 for n in lam})
+    mf = brute({n: oracle_sign(n, 4) for n in lam})
+    assert even_moment(ones, 4) == float(mF)
+    assert even_moment(signed, 4) == float(mf)
     assert mf < mF  # strict: the all-ones moment picks up more mass
 
 
@@ -214,7 +229,7 @@ def test_eta_zero_for_unit_ratio():
 
 def test_eta_single_digit_closed_form():
     c = build(32, 1)
-    res = ratio3(c, 1e-10)
+    res = ratio_at(c, 3.0, 1e-10)
     eta = eta_empirical(c, ratio=res.ratio)
     assert eta == pytest.approx(math.log(res.ratio) / math.log(32), rel=1e-12)
     assert eta > 0
@@ -222,7 +237,7 @@ def test_eta_single_digit_closed_form():
 
 def test_eta_positive_at_depth_two():
     c = build(32, 2)
-    res = ratio3(c, 1e-9)
+    res = ratio_at(c, 3.0, 1e-9)
     eta = eta_empirical(c, ratio=res.ratio)
     assert 0 < eta < 1 / 18
 
@@ -239,4 +254,3 @@ def test_to_json_shape():
     doc = c.to_json()
     assert doc == {"D": 10, "k": 2, "N": 33, "lam_size": 3**2}
     assert "lambda" not in doc and "signs" not in doc
-    assert c.lam == (0, 1, 3, 10, 11, 13, 30, 31, 33)

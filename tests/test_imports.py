@@ -16,6 +16,12 @@ def test_import_does_not_load_scipy():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+def test_every_exported_name_resolves():
+    missing = [name for name in majorant.__all__ if not hasattr(majorant, name)]
+    assert not missing
+    assert len(set(majorant.__all__)) == len(majorant.__all__)
+
+
 def test_traced_benchmark_targets_resolve():
     # perfbench/tracing.py rebinds these names during a traced run; a name
     # deleted from the package must fail here, not in the benchmark.  The
