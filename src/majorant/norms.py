@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import QuadratureConvergenceError
+from .errors import MajorantError, QuadratureConvergenceError
 from .trigpoly import DilatedProduct, TrigPoly, make
 
 DEFAULT_REL_TOL = 1e-9
@@ -123,6 +123,8 @@ def _power(P: TrigPoly, e: int) -> TrigPoly:
 def norm_even(P, p: int) -> NormEstimate:
     """Exact L^p norm for even integer p >= 2."""
     moment = even_moment(P, p)
+    if not math.isfinite(moment):
+        raise MajorantError(f"the moment of order p={p} leaves the double range")
     return NormEstimate(value=moment ** (1.0 / p), p=float(p), method="even-exact")
 
 
@@ -232,6 +234,15 @@ def _refine(estimate, size, max_doublings, rel_tol, p, method, grid_of) -> NormE
     prev = prev2 = None
     for _ in range(max_doublings + 1):
         est = estimate(size)
+        if not math.isfinite(est):
+            # |P|^p overflows a double; no finer grid can mend that
+            raise QuadratureConvergenceError(
+                f"estimate {est} on grid {grid_of(size)} is not finite: "
+                f"|P|^p leaves the double range at p={p}",
+                last=est,
+                previous=prev,
+                grid_size=grid_of(size),
+            )
         if prev is not None:
             diff = abs(est - prev)
             if diff <= rel_tol * max(abs(est), 1e-300):

@@ -22,7 +22,15 @@ The scan scores patterns in chunks of consecutive codes, in one pass that
 keeps only each chunk's maximum.  The earliest qualifying pattern lies in
 the first chunk whose maximum reaches the tolerance floor, so that single
 chunk is scored again to find it: at most one chunk more than the number
-of patterns is scored.
+of patterns is scored.  A chunk holds about ``_CHUNK_BYTES`` of sampled
+values whatever the grid, so scan memory does not grow with it.
+
+Sign patterns are real and the frequencies are integers, so
+``|v(-theta)| = |v(theta)|``: the scanner scores real coefficient rows on
+the half grid ``theta_j``, ``j <= m/2``, counting every point but
+``theta = 0`` and ``theta = 1/2`` twice.  Complex patterns (roots of order
+q >= 3, phase ascent) use the full grid.  Phase ascent scores each
+coordinate's twelve coarse phases as one batch.
 """
 from __future__ import annotations
 
@@ -40,7 +48,7 @@ from .trigpoly import TrigPoly, make
 
 DEFAULT_BUDGET = 1 << 24
 _MODULUS_SLACK = 1e-12
-_CHUNK = 1 << 12
+_CHUNK_BYTES = 1 << 20  # sampled values per scan chunk
 _MAX_SWEEPS = 50
 
 _TWO_PI = 2.0 * np.pi
@@ -143,19 +151,39 @@ class _Scanner:
             m = max(m, int(p) * max(lam) + 1)
         theta = np.arange(m) / m
         self.p = p
+        self.m = m
         self.rows = np.exp(1j * _TWO_PI * np.outer(np.asarray(lam, float), theta))
+        # the half grid j <= m/2 as interleaved (cos, sin) columns: a real
+        # coefficient row times them is its complex values there, as floats
+        h = m // 2 + 1
+        self.half_rows = np.ascontiguousarray(self.rows[:, :h]).view(float)
+        self.half_weights = np.full(h, 2.0)
+        self.half_weights[0] = 1.0
+        if m % 2 == 0:
+            self.half_weights[-1] = 1.0
         self.den_moment = self._moment(self.rows.sum(axis=0))
 
     def _moment(self, vals: np.ndarray) -> np.ndarray:
-        return np.mean(_abs_power(vals, self.p), axis=-1)
+        return np.add.reduce(_abs_power(vals, self.p), axis=-1) / self.m
+
+    def _ratio(self, moment: np.ndarray) -> np.ndarray:
+        return (moment / self.den_moment) ** (1.0 / self.p)
 
     def value_ratios(self, vals: np.ndarray) -> np.ndarray:
         """Grid norm ratios, against the all-ones sum, of values sampled on
         the grid (grid points on the last axis)."""
-        return (self._moment(vals) / self.den_moment) ** (1.0 / self.p)
+        return self._ratio(self._moment(vals))
+
+    def points(self, coeff_rows: np.ndarray) -> int:
+        """Grid points :meth:`ratios` samples per row of ``coeff_rows``."""
+        return len(self.half_weights) if np.isrealobj(coeff_rows) else self.m
 
     def ratios(self, coeff_rows: np.ndarray) -> np.ndarray:
-        """Grid norm ratios for a batch of coefficient vectors."""
+        """Grid norm ratios for a batch of coefficient vectors; real ones
+        are scored on the half grid."""
+        if np.isrealobj(coeff_rows):
+            half = (coeff_rows @ self.half_rows).view(complex)
+            return self._ratio(_abs_power(half, self.p) @ self.half_weights / self.m)
         return self.value_ratios(coeff_rows @ self.rows)
 
 
@@ -164,11 +192,14 @@ def _codes_to_roots(codes: np.ndarray, t: int, q: int) -> np.ndarray:
     # with lower root indices (+1 before -1 at q = 2) sorting first
     powers = q ** np.arange(t - 2, -1, -1, dtype=np.int64)
     digits = (codes[:, None] // powers[None, :]) % q
-    roots = np.exp(1j * _TWO_PI * np.arange(q) / q)
-    # snap components to exact 0 so q = 2 gives exact signs
-    roots.real[np.abs(roots.real) < 1e-15] = 0.0
-    roots.imag[np.abs(roots.imag) < 1e-15] = 0.0
-    out = np.ones((codes.shape[0], t), dtype=complex)
+    if q == 2:
+        roots = np.array([1.0, -1.0])  # real rows: the scanner's half grid
+    else:
+        roots = np.exp(1j * _TWO_PI * np.arange(q) / q)
+        # snap components to exact 0 so q = 4 gives exact +-1 and +-i
+        roots.real[np.abs(roots.real) < 1e-15] = 0.0
+        roots.imag[np.abs(roots.imag) < 1e-15] = 0.0
+    out = np.ones((codes.shape[0], t), dtype=roots.dtype)
     out[:, 1:] = roots[digits]
     return out
 
@@ -187,10 +218,13 @@ def _scan_codes(
     qualifying code, so only it is scored again.  Chunks are scored
     independently, so the result does not depend on ``threads``.
     """
-    starts = range(0, n_patterns, _CHUNK)
+    # complex128 values: 16 bytes per grid point of each pattern
+    points = scanner.points(decode(np.zeros(1, dtype=np.int64)))
+    size = max(1, _CHUNK_BYTES // (16 * points))
+    starts = range(0, n_patterns, size)
 
     def chunk(s: int) -> Tuple[np.ndarray, np.ndarray]:
-        codes = np.arange(s, min(s + _CHUNK, n_patterns), dtype=np.int64)
+        codes = np.arange(s, min(s + size, n_patterns), dtype=np.int64)
         return codes, scanner.ratios(decode(codes))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -332,6 +366,7 @@ def phase_ascent(
         starts.append(np.exp(1j * _TWO_PI * phases))
 
     coarse = np.arange(12) / 12.0
+    coarse_turns = np.exp(1j * _TWO_PI * coarse)[:, None]
     best_vec = starts[0].copy()
     best_ratio = ratio_of(best_vec)
 
@@ -349,7 +384,8 @@ def phase_ascent(
                     v = vals_wo + np.exp(1j * _TWO_PI * phi) * rows[i]
                     return float(scanner.value_ratios(v))
 
-                scores = [slice_ratio(phi) for phi in coarse]
+                evaluations += len(coarse)
+                scores = scanner.value_ratios(vals_wo + coarse_turns * rows[i])
                 j = int(np.argmax(scores))
                 phi = _golden_max(
                     slice_ratio, coarse[j] - 1.0 / 12.0, coarse[j] + 1.0 / 12.0

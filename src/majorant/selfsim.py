@@ -33,7 +33,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import EnvelopeResolutionError
+from .errors import EnvelopeResolutionError, MajorantError
 from .norms import DEFAULT_REL_TOL, _abs_power, _grid_norm, norm_quad, starting_grid
 from .trigpoly import TrigPoly, product_of_dilates
 
@@ -141,7 +141,15 @@ def lipschitz_bound(P: TrigPoly, alpha: float) -> float:
     l1 = P.coefficient_l1()
     if l1 == 0.0:
         return 0.0
-    return alpha * l1 ** (alpha - 1.0) * 2.0 * math.pi * P.weighted_l1()
+    try:
+        bound = alpha * l1 ** (alpha - 1.0) * 2.0 * math.pi * P.weighted_l1()
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise MajorantError(
+            f"the derivative bound of |P|^alpha leaves the double range at alpha={alpha}"
+        )
+    return bound
 
 
 def _check_positive(**values: float) -> None:

@@ -325,6 +325,31 @@ def test_lemma_numeric_failure_exits_1(capsys, tmp_path, monkeypatch):
     assert "numeric failure" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (("norm", "--p", "1000"), "p=1000"),
+        (("norm", "--p", "1000", "--force-quadrature"), "p=1000"),
+        (("norm", "--p", "999.5"), "p=999.5"),
+        (("lemma", "--alpha", "1000", "--D", "64", "--delta", "0.1"), "alpha=1000"),
+        (("lemma", "--alpha", "1000", "--D", "64", "--delta", "0.1", "--best-effort"), "p=1000"),
+    ],
+    ids=["norm-exact", "norm-quadrature", "norm-odd-p", "lemma", "lemma-best-effort"],
+)
+def test_powers_beyond_the_double_range_exit_1(capsys, tmp_path, monkeypatch, argv, names):
+    # |P|^1000 of 1 + e(theta) - e(3 theta) reaches 3^1000: an exact "inf",
+    # a quadrature that doubled its grid twenty times, and an OverflowError
+    # traceback from the lemma's derivative bound
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--poly", "0:1,1:1,3:-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("numeric failure: ")
+    assert names in err
+    assert not list(tmp_path.iterdir())  # no manifest
+
+
 @pytest.mark.parametrize(
     "bad, args",
     [

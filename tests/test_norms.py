@@ -9,6 +9,7 @@ from majorant import (
     DilatedProduct,
     NormEstimate,
     QuadratureConvergenceError,
+    TrigPoly,
     even_moment,
     flipped_base,
     majorant_base,
@@ -210,6 +211,24 @@ def test_quad_nonconvergence_carries_estimates(monkeypatch):
     assert err.previous is not None
     assert err.last != err.previous
     assert err.grid_size == 512
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_quad_stops_at_an_overflowing_integrand(monkeypatch):
+    # |P|^1000 leaves the double range, so every estimate is inf; inf - inf
+    # is NaN, which failed the stopping test on every grid up to 2^28 points
+    grids = []
+    sample = TrigPoly.sample_uniform
+
+    def spy(self, m, *args, **kwargs):
+        grids.append(m)
+        return sample(self, m, *args, **kwargs)
+
+    monkeypatch.setattr(TrigPoly, "sample_uniform", spy)
+    with pytest.raises(QuadratureConvergenceError, match="not finite") as info:
+        norm_quad(flipped_base(), 1000.0, 1e-9)
+    assert len(grids) <= 2
+    assert info.value.last == math.inf
 
 
 def test_quad_validates_arguments():

@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,15 @@ from majorant import (
 from test_norms import CUBE_NORM_ALL_ONES, CUBE_NORM_FLIPPED
 
 SEED_RATIO = CUBE_NORM_FLIPPED / CUBE_NORM_ALL_ONES  # ~1.0059874
+
+
+def digit_set(D, k):
+    """Lambda(D, k) = { sum_i eps_i D^i : eps_i in {0, 1, 3} }, sorted."""
+    return sorted(sum(e * D**i for i, e in enumerate(eps)) for eps in product((0, 1, 3), repeat=k))
+
+
+LAMBDA_8_3_FIRST15 = tuple(digit_set(8, 3)[:15])
+LAMBDA_7_2 = tuple(digit_set(7, 2))
 
 
 # -- MajorantInstance ------------------------------------------------------------
@@ -117,7 +129,7 @@ def test_signs_budget_error():
     "search, threads",
     [
         (lambda threads: exhaustive_signs(tuple(range(14)), 4.0, threads=threads), 4),
-        # 3^8 = 6561 patterns: two scan chunks
+        # 3^8 = 6561 patterns: many scan chunks
         (lambda threads: exhaustive_roots(tuple(range(9)), 3.0, 3, threads=threads), 3),
     ],
     ids=["signs", "roots-q3"],
@@ -137,10 +149,25 @@ def test_exhaustive_scores_each_pattern_once_plus_one_chunk(monkeypatch):
         return score(self, coeff_rows)
 
     monkeypatch.setattr(search_module._Scanner, "ratios", counting)
-    # the best code, 3475, now lies in chunk 54 of 128
-    monkeypatch.setattr(search_module, "_CHUNK", 64)
+    # a budget of 64 patterns' values (complex128 on the half grid): the
+    # best code, 3475, now lies in chunk 54 of 128
+    points = search_module._Scanner(lam, 3.0, 1e-9).points(np.ones((1, len(lam))))
+    monkeypatch.setattr(search_module, "_CHUNK_BYTES", 64 * 16 * points)
     assert exhaustive_signs(lam, 3.0) == whole
+    assert max(scored) == 64
     assert sum(scored) <= 2**13 + 64
+
+
+def test_scan_peak_memory_stays_small():
+    # 2^14 patterns on a 4096-point grid: the whole pass as one complex
+    # array would be 1 GB, and chunks of 4096 patterns peaked near 540 MB
+    tracemalloc.start()
+    try:
+        exhaustive_signs(LAMBDA_8_3_FIRST15, 3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 def test_signs_translation_and_dilation_invariance():
@@ -156,6 +183,64 @@ def test_signs_conjugation_invariance():
     inst = MajorantInstance.from_vector(report.lam, report.best_coeffs)
     conj = MajorantInstance(inst.lam, {n: c.conjugate() for n, c in inst.coeffs.items()})
     assert majorant_ratio(conj, 3.0) == pytest.approx(report.best_ratio, rel=1e-9)
+
+
+# -- the shared-grid scanner ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0, 18.0])
+def test_half_grid_ratios_match_the_full_grid(rng, p):
+    lam = (0, 1, 3, 7, 12, 20, 31)
+    scanner = search_module._Scanner(lam, p, 1e-9)
+    if p == 18.0:
+        # 18 * 31 + 1 = 559 points through the even-p clause: the half grid
+        # then has no point at theta = 1/2
+        assert scanner.m == 559
+    signs = rng.choice([-1.0, 1.0], size=(64, len(lam)))
+    assert scanner.points(signs) == scanner.m // 2 + 1
+    half = scanner.ratios(signs)
+    full = scanner.ratios(signs.astype(complex))
+    np.testing.assert_allclose(half, full, rtol=1e-13, atol=0)
+
+
+def test_batched_value_ratios_equal_single_rows_exactly(rng):
+    scanner = search_module._Scanner(LAMBDA_7_2, 3.0, 1e-9)
+    coeffs = np.exp(2j * np.pi * rng.random(len(LAMBDA_7_2)))
+    vals = np.exp(2j * np.pi * rng.random(12))[:, None] * (coeffs @ scanner.rows)
+    batched = scanner.value_ratios(vals)
+    assert batched.tolist() == [float(scanner.value_ratios(row)) for row in vals]
+
+
+def _signs(pattern):
+    return tuple(complex(1.0 if c == "+" else -1.0) for c in pattern)
+
+
+def test_benchmark_searches_keep_their_results():
+    # pinned before the half grid, the byte-sized chunks and the batched
+    # coarse phase scan
+    signs = exhaustive_signs(LAMBDA_8_3_FIRST15, 3.0, 1e-9)
+    assert signs.best_coeffs == _signs("++-++---+++-++-")
+    assert (signs.evaluations, signs.best_ratio) == (16386, 1.0185651294737283)
+
+    w = complex(-0.4999999999999998, 0.8660254037844387)
+    w2 = complex(-0.5000000000000004, -0.8660254037844384)
+    roots = exhaustive_roots(LAMBDA_7_2, 3.0, 3, 1e-9)
+    assert roots.best_coeffs == (1, w, w, w2, 1, 1, w, w2, w2)
+    assert (roots.evaluations, roots.best_ratio) == (6563, 1.013368760209421)
+
+    ascent = phase_ascent(LAMBDA_7_2, 3.0, restarts=4, seed=1, rel_tol=1e-9)
+    assert ascent.best_coeffs == (
+        1,
+        complex(-0.08824717150408216, 0.9960986079307255),
+        complex(-0.5591972241514497, 0.8290346582027276),
+        complex(0.16653948072834465, 0.9860347870936063),
+        complex(-0.9864658220883895, 0.1639670145226713),
+        complex(-0.938301837804991, -0.3458173812459061),
+        complex(0.6063941999559682, 0.7951641806946294),
+        complex(-0.8401772031342157, 0.542311964955197),
+        complex(-0.9965377720020486, 0.08314125915087464),
+    )
+    assert (ascent.evaluations, ascent.best_ratio) == (66445, 1.0154074663667145)
 
 
 # -- roots-of-unity search -------------------------------------------------------------

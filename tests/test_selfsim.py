@@ -6,6 +6,7 @@ import pytest
 from majorant import (
     DilatedProduct,
     EnvelopeResolutionError,
+    MajorantError,
     StepFunction,
     flipped_base,
     majorant_base,
@@ -240,6 +241,15 @@ def test_envelopes_error_advises_min_cells():
     err = info.value
     assert err.min_cells == math.ceil(2 * lipschitz_bound(P, 3.0) / delta)
     assert err.required_samples > 1 << 24
+
+
+def test_lipschitz_bound_beyond_the_double_range_names_alpha():
+    # 3^999 raised OverflowError from float ** before it could become inf
+    with pytest.raises(MajorantError, match="alpha=1000"):
+        lipschitz_bound(flipped_base(), 1000.0)
+    # here l1^(alpha - 1) is finite and the product with the rest is inf
+    with pytest.raises(MajorantError, match="alpha=646"):
+        lipschitz_bound(flipped_base(), 646.0)
 
 
 def test_sample_envelopes_best_effort():
