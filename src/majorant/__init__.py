@@ -53,8 +53,6 @@ from .selfsim import (
     sample_envelopes,
     step_envelopes,
     step_mean,
-    step_selfsim_integral,
-    trig_selfsim_check,
 )
 from .trigpoly import DilatedProduct, TrigPoly, make, product_of_dilates
 
@@ -101,7 +99,5 @@ __all__ = [
     "sandwich_bounds",
     "step_envelopes",
     "step_mean",
-    "step_selfsim_integral",
-    "trig_selfsim_check",
     "upper_exponent",
 ]

@@ -61,14 +61,6 @@ class ChainReport:
         """The constant against N = max(lam), raised to 1 when lam = {0}."""
         return self.constant_at(max(self.N, 1))
 
-    def slacks(self) -> tuple:
-        return (
-            self.slack_interpolation,
-            self.slack_monotonicity,
-            self.slack_sup_step,
-            self.slack_combined,
-        )
-
     def to_json(self) -> dict:
         return {**asdict(self), "implied_constant": self.implied_constant}
 

@@ -110,11 +110,19 @@ def write_manifest(path: str, command: str, parameters: dict, seed: int, results
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-# -- rendering ---------------------------------------------------------------
+# -- output ------------------------------------------------------------------
+
+# the summary line that ``report`` lists as a manifest's headline (default:
+# the first line after the command, the first instance for ``bounds``)
+_HEADLINE = {"construct": 2, "search": 2, "lemma": 2}
+_BOUNDS_CSV = CSV_FIELDS + ("peak_measured", "peak_predicted")
+_REPORT_CSV = ("file", "command", "timestamp", "tool_version", "headline")
+# argparse attributes that are not parameters of the computation
+_NOT_PARAMETERS = {"func", "command", "manifest", "json", "csv", "seed"}
 
 
-def render_results(command: str, results: dict) -> str:
-    """Human-readable summary; shared by live runs and ``report``."""
+def _summary(command: str, results: dict) -> list:
+    """Human-readable summary lines; shared by live runs and ``report``."""
     lines = [f"[{command}]"]
     if command == "norm":
         est = results["estimate"]
@@ -165,28 +173,28 @@ def render_results(command: str, results: dict) -> str:
             f"  exponent at p=3: {results['exponent_p3']} "
             f"(checked, not certified: interpolation step verified numerically)"
         )
-    elif command == "report":
-        lines.append(f"  consolidated {len(results['rows'])} manifest(s)")
     else:
         lines.append(f"  {json.dumps(results)}")
-    return "\n".join(lines)
+    return lines
 
 
-def _emit(args, command: str, results: dict, parameters: dict, seed: int):
-    manifest_path = args.manifest or f"majorant-{command}.manifest.json"
-    write_manifest(manifest_path, command, parameters, seed, results)
+def _print_csv(fields: tuple, rows: list) -> None:
+    writer = csv.writer(sys.stdout)
+    writer.writerow(fields)
+    writer.writerows([row[f] for f in fields] for row in rows)
+
+
+def _emit(args, results: dict):
+    """Write the manifest, then print the results in the requested form."""
+    parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+    manifest_path = args.manifest or f"majorant-{args.command}.manifest.json"
+    write_manifest(manifest_path, args.command, parameters, args.seed, results)
     if args.json:
         print(json.dumps(results, indent=2, sort_keys=True))
-    elif getattr(args, "csv", False) and command == "bounds":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(CSV_FIELDS + ("peak_measured", "peak_predicted"))
-        for row in results["instances"]:
-            writer.writerow(
-                [row[f] for f in CSV_FIELDS]
-                + [row["peak_measured"], row["peak_predicted"]]
-            )
+    elif getattr(args, "csv", False):
+        _print_csv(_BOUNDS_CSV, results["instances"])
     else:
-        print(render_results(command, results))
+        print("\n".join(_summary(args.command, results)))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -199,7 +207,7 @@ def _cmd_norm(args) -> int:
     else:
         est = norm(poly, args.p, args.tol)
     results = {"estimate": est.to_json(), "poly": poly.to_triples()}
-    _emit(args, "norm", results, _params(args, "poly", "p", "tol", "force_quadrature"), args.seed)
+    _emit(args, results)
     return 0
 
 
@@ -218,7 +226,7 @@ def _cmd_construct(args) -> int:
         "norm_all_ones": n_all.to_json(),
         "norm_signed": n_sgn.to_json(),
     }
-    _emit(args, "construct", results, _params(args, "D", "k", "N", "p", "tol"), args.seed)
+    _emit(args, results)
     return 0
 
 
@@ -234,13 +242,7 @@ def _cmd_search(args) -> int:
         )
     else:
         report = phase_ascent(lam, args.p, args.restarts, args.seed, args.tol)
-    _emit(
-        args,
-        "search",
-        report.to_json(),
-        _params(args, "lam", "p", "method", "q", "budget", "restarts", "tol"),
-        args.seed,
-    )
+    _emit(args, report.to_json())
     return 0
 
 
@@ -254,13 +256,7 @@ def _cmd_lemma(args) -> int:
     result = sandwich_bounds(
         poly, args.alpha, args.D, args.delta, args.tol, best_effort=args.best_effort
     )
-    _emit(
-        args,
-        "lemma",
-        result.to_json(),
-        _params(args, "poly", "alpha", "D", "delta", "tol", "best_effort"),
-        args.seed,
-    )
+    _emit(args, result.to_json())
     return 0
 
 
@@ -303,13 +299,7 @@ def _cmd_bounds(args) -> int:
         row["proposition_constant"] = report.constant_at(N)
         rows.append(row)
     results = {"instances": rows, "exponent_p3": str(upper_exponent(3))}
-    _emit(
-        args,
-        "bounds",
-        results,
-        _params(args, "lam", "coeffs", "N", "random", "max_n", "max_size", "peak_grid", "tol"),
-        args.seed,
-    )
+    _emit(args, results)
     return 0
 
 
@@ -323,60 +313,24 @@ def _cmd_report(args) -> int:
         for key in ("command", "parameters", "results"):
             if key not in doc:
                 raise UsageError(f"manifest {file!r} lacks field {key!r}")
+        command = doc["command"]
+        lines = _summary(command, doc["results"])
         rows.append(
             {
                 "file": file,
-                "command": doc["command"],
+                "command": command,
                 "timestamp": doc.get("timestamp", ""),
                 "tool_version": doc.get("tool_version", ""),
-                "headline": _headline(doc["command"], doc["results"]),
+                "headline": lines[_HEADLINE.get(command, 1)].strip(),
             }
         )
         if not args.json and not args.csv:
-            print(render_results(doc["command"], doc["results"]))
-    results = {"rows": rows}
+            print("\n".join(lines))
     if args.json:
-        print(json.dumps(results, indent=2, sort_keys=True))
+        print(json.dumps({"rows": rows}, indent=2, sort_keys=True))
     elif args.csv:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["file", "command", "timestamp", "tool_version", "headline"])
-        for row in rows:
-            writer.writerow([row[k] for k in ("file", "command", "timestamp", "tool_version", "headline")])
+        _print_csv(_REPORT_CSV, rows)
     return 0
-
-
-def _headline(command: str, results: dict) -> str:
-    if command == "norm":
-        return f"value={results['estimate']['value']:.12g}"
-    if command == "construct":
-        return f"ratio={results['ratio']:.12g} eta={results['eta']:.6g}"
-    if command == "search":
-        return f"best_ratio={results['best_ratio']:.12g}"
-    if command == "lemma":
-        return f"lower={results['lower']:.9g} upper={results['upper']:.9g}"
-    if command == "bounds":
-        worst = min(
-            min(
-                row[f]
-                for f in (
-                    "slack_interpolation",
-                    "slack_monotonicity",
-                    "slack_sup_step",
-                    "slack_combined",
-                )
-            )
-            for row in results["instances"]
-        )
-        return f"instances={len(results['instances'])} worst_slack={worst:.3g}"
-    return ""
-
-
-def _params(args, *names) -> dict:
-    out = {}
-    for name in names:
-        out[name] = getattr(args, name, None)
-    out["threads"] = args.threads
-    return out
 
 
 # -- argument parser ---------------------------------------------------------
@@ -487,10 +441,7 @@ def main(argv=None) -> int:
     try:
         args.threads = _thread_count(args.threads)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MajorantError as exc:

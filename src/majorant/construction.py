@@ -17,7 +17,7 @@ Lambda is ``prod_i majorant_base(D^i theta)`` term for term, and the signed
 sum is ``prod_i flipped_base(D^i theta)``, so a construction is its
 parameters (D, k).  Norm computations run the transfer operator of the
 three-term base k times instead of touching 3^k expanded terms;
-``DilatedProduct.expand`` gives the coefficient form when it is affordable.
+``product_of_dilates`` gives the coefficient form when it is affordable.
 
 D >= 4 is required so that 3 is a valid base-D digit and max(Lambda) < D^k.
 """

@@ -140,9 +140,15 @@ def majorant_ratio(inst: MajorantInstance, p: float, rel_tol: float = DEFAULT_RE
 
 
 class _Scanner:
-    """Precomputed e(n theta) rows on one grid, shared across an enumeration."""
+    """Precomputed e(n theta) rows on one grid, shared across an enumeration.
+
+    The rows are those of lambda shifted to start at 0: a common shift
+    multiplies every value by one unimodular factor, so the grid and the
+    ratios depend on the span of lambda, not on where it sits.
+    """
 
     def __init__(self, lam: Tuple[int, ...], p: float, rel_tol: float):
+        lam = tuple(n - lam[0] for n in lam)  # lam is sorted
         den = MajorantInstance.all_ones(lam).denominator_poly()
         est = norm_quad(den, p, rel_tol)
         m = est.grid_size

@@ -1,4 +1,4 @@
-"""Self-similar product integrals and certified sandwich bounds.
+"""Certified sandwich bounds for products of dilates, from step functions.
 
 The driving identity: if r is constant on the D-adic cells
 ``R_j = [j/D, (j+1)/D)`` then
@@ -7,9 +7,9 @@ The driving identity: if r is constant on the D-adic cells
 
 for every k, because the first k base-D digits of theta pick the cell each
 dilate lands in, each digit string owning an interval of length exactly
-D^(-k).  The same factorisation holds for real trigonometric polynomials of
-degree < D/2 (dissociation of the dilated frequency sets; the constant
-coefficient identity actually survives up to degree D - 1, see the tests).
+D^(-k).  (The tests check both sides of it by enumerating digit strings,
+and its analogue for real trigonometric polynomials of degree < D/2 by
+exact coefficient algebra.)
 
 Sandwiching ``|P|^alpha`` between two such step functions turns the
 identity into two-sided bounds on ``||prod_i P(D^i .)||_alpha^(1/k)`` that
@@ -35,10 +35,9 @@ import numpy as np
 
 from .errors import EnvelopeResolutionError, MajorantError
 from .norms import DEFAULT_REL_TOL, _abs_power, _grid_norm, norm_quad, starting_grid
-from .trigpoly import TrigPoly, product_of_dilates
+from .trigpoly import TrigPoly
 
 SAMPLE_BUDGET = 1 << 24
-ENUMERATION_LIMIT = 1 << 22
 BEST_EFFORT_SAMPLES = 64
 
 
@@ -64,63 +63,6 @@ class StepFunction:
 def step_mean(r: StepFunction) -> float:
     """The exact integral: the mean of the cell values."""
     return math.fsum(r.values) / r.D
-
-
-class SelfSimIntegral(NamedTuple):
-    closed_form: float
-    direct: float
-    enumerated: bool
-
-
-def step_selfsim_integral(r: StepFunction, k: int) -> SelfSimIntegral:
-    """Both sides of the factorisation identity for a step function.
-
-    ``closed_form`` is ``step_mean(r)^k``.  ``direct`` sums the product of
-    cell values over all D^k digit strings, each weighted by its interval
-    length D^(-k).  When D^k exceeds ``ENUMERATION_LIMIT`` the direct side
-    falls back to the algebraic factorisation of the digit sum and the
-    result is flagged with ``enumerated=False``.
-    """
-    k = operator.index(k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    closed = step_mean(r) ** k
-    total_cells = r.D**k
-    if total_cells <= ENUMERATION_LIMIT:
-        vals = r.as_array()
-        prods = np.ones(1, dtype=float)
-        for _ in range(k):
-            prods = (prods[:, None] * vals[None, :]).ravel()
-        direct = float(np.sum(prods)) / total_cells
-        return SelfSimIntegral(closed, direct, True)
-    # sum over strings of prod values[j_i] factors as (sum values)^k
-    direct = math.fsum(r.values) ** k / float(total_cells)
-    return SelfSimIntegral(closed, direct, False)
-
-
-def trig_selfsim_check(
-    r: TrigPoly, D: int, k: int, *, check_degree: bool = True
-) -> Tuple[float, float]:
-    """Both sides of the identity for a real trigonometric polynomial.
-
-    lhs: constant coefficient of ``prod_{i<k} r(D^i theta)``; rhs: the
-    constant coefficient of r raised to the k.  Equality is exact whenever
-    degree(r) < D/2 (the guaranteed regime; callers may disable the degree
-    check to probe beyond it).
-    """
-    D = operator.index(D)
-    k = operator.index(k)
-    if not r.is_real_valued():
-        raise ValueError("r must be real-valued (conjugate-symmetric coefficients)")
-    if check_degree and 2 * r.degree >= D:
-        raise ValueError(
-            f"degree {r.degree} >= D/2 = {D / 2}; the factorisation is not "
-            f"guaranteed there (pass check_degree=False to probe anyway)"
-        )
-    g = product_of_dilates(r, D, k)
-    lhs = g.coefficient(0).real
-    rhs = r.coefficient(0).real ** k
-    return (float(lhs), float(rhs))
 
 
 class EnvelopePair(NamedTuple):
@@ -159,8 +101,29 @@ def _check_positive(**values: float) -> None:
             raise ValueError(f"{name} must be a finite positive number, got {value}")
 
 
-def _sampled_powers(P: TrigPoly, alpha: float, total: int) -> np.ndarray:
-    return _abs_power(P.sample_uniform(total, shift=0.5), alpha)
+def _envelopes(
+    P: TrigPoly, alpha: float, D: int, S: int, lipschitz: float, certified: bool
+) -> EnvelopePair:
+    """Per-cell extrema of ``|P|^alpha`` over S midpoint samples per cell;
+    certified envelopes widen them by the sampling radius ``L / (2 D S)``."""
+    powers = _abs_power(P.sample_uniform(D * S, shift=0.5), alpha).reshape(D, S)
+    if not np.isfinite(powers).all():
+        raise MajorantError(
+            f"the sampled |P|^alpha of the envelopes is not finite at alpha={alpha}"
+        )
+    corr = lipschitz / (2.0 * D * S) if certified else 0.0
+    upper = powers.max(axis=1) + corr
+    lower = np.maximum(0.0, powers.min(axis=1) - corr)
+    return EnvelopePair(
+        rminus=StepFunction(D, tuple(float(v) for v in lower)),
+        rplus=StepFunction(D, tuple(float(v) for v in upper)),
+        correction=corr,
+        mean_gap=float(np.mean(upper) - np.mean(lower)),
+        max_gap=float(np.max(upper - lower)),
+        lipschitz=lipschitz,
+        samples_per_cell=S,
+        certified=certified,
+    )
 
 
 def step_envelopes(P: TrigPoly, alpha: float, D: int, delta: float) -> EnvelopePair:
@@ -200,23 +163,7 @@ def step_envelopes(P: TrigPoly, alpha: float, D: int, delta: float) -> EnvelopeP
             min_cells=min_cells,
             required_samples=D * S,
         )
-
-    powers = _sampled_powers(P, alpha, D * S).reshape(D, S)
-    corr = L / (2.0 * D * S)
-    upper = powers.max(axis=1) + corr
-    lower = np.maximum(0.0, powers.min(axis=1) - corr)
-    mean_gap = float(np.mean(upper) - np.mean(lower))
-    max_gap = float(np.max(upper - lower))
-    return EnvelopePair(
-        rminus=StepFunction(D, tuple(float(v) for v in lower)),
-        rplus=StepFunction(D, tuple(float(v) for v in upper)),
-        correction=corr,
-        mean_gap=mean_gap,
-        max_gap=max_gap,
-        lipschitz=L,
-        samples_per_cell=S,
-        certified=True,
-    )
+    return _envelopes(P, alpha, D, S, L, certified=True)
 
 
 def sample_envelopes(P: TrigPoly, alpha: float, D: int) -> EnvelopePair:
@@ -227,23 +174,10 @@ def sample_envelopes(P: TrigPoly, alpha: float, D: int) -> EnvelopePair:
     flagged ``certified=False`` and should be labelled as such downstream.
     """
     D = operator.index(D)
-    S = BEST_EFFORT_SAMPLES
     if D < 1:
         raise ValueError("cell count D must be >= 1")
     _check_positive(alpha=alpha)
-    powers = _sampled_powers(P, alpha, D * S).reshape(D, S)
-    upper = powers.max(axis=1)
-    lower = powers.min(axis=1)
-    return EnvelopePair(
-        rminus=StepFunction(D, tuple(float(v) for v in lower)),
-        rplus=StepFunction(D, tuple(float(v) for v in upper)),
-        correction=0.0,
-        mean_gap=float(np.mean(upper) - np.mean(lower)),
-        max_gap=float(np.max(upper - lower)),
-        lipschitz=float("nan"),
-        samples_per_cell=S,
-        certified=False,
-    )
+    return _envelopes(P, alpha, D, BEST_EFFORT_SAMPLES, float("nan"), certified=False)
 
 
 @dataclass(frozen=True)

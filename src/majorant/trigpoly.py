@@ -68,12 +68,6 @@ class TrigPoly:
         """sum |n| * |c_n|, which bounds the derivative by 2*pi times this."""
         return float(sum(abs(n) * abs(c) for n, c in self._terms.items()))
 
-    def is_real_valued(self) -> bool:
-        """True when coefficients are conjugate-symmetric (c_{-n} == conj c_n)."""
-        return all(
-            self._terms.get(-n) == c.conjugate() for n, c in self._terms.items()
-        )
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -95,19 +89,6 @@ class TrigPoly:
         return f"TrigPoly({{{bits}}})"
 
     # -- evaluation ---------------------------------------------------------
-
-    def eval(self, theta):
-        """Evaluate at a scalar or array of points on the torus.
-
-        Returns ``sum_n c_n e(n*theta)`` with ``e(t) = exp(2*pi*i*t)``.
-        """
-        th = np.asarray(theta, dtype=float)
-        out = np.zeros(th.shape, dtype=complex)
-        for n, c in self._terms.items():
-            out += c * np.exp(1j * _TWO_PI * ((n * th) % 1.0))
-        if np.isscalar(theta) or th.shape == ():
-            return complex(out)
-        return out
 
     def sample_uniform(self, m: int, shift: float = 0.0) -> np.ndarray:
         """Values ``P((j + shift)/m)`` for ``j = 0..m-1``.
@@ -222,8 +203,8 @@ class DilatedProduct:
     Stores the base and (D, k) only.  Norms of products go through the
     transfer operator in :mod:`majorant.norms`, at a cost set by the base
     rather than by the product's degree; :meth:`sample_uniform` evaluates
-    with O(k) work per grid point and :meth:`expand` gives the exact
-    coefficient form when it is affordable.
+    with O(k) work per grid point and :func:`product_of_dilates` gives the
+    exact coefficient form when it is affordable.
     """
 
     __slots__ = ("base", "D", "k")
@@ -259,9 +240,6 @@ class DilatedProduct:
             out = out * base_grid[(scale * j) % m]
             scale = (scale * self.D) % m
         return out
-
-    def expand(self) -> TrigPoly:
-        return product_of_dilates(self.base, self.D, self.k)
 
     def __repr__(self) -> str:
         return f"DilatedProduct(base={self.base!r}, D={self.D}, k={self.k})"

@@ -333,7 +333,7 @@ def test_lemma_numeric_failure_exits_1(capsys, tmp_path, monkeypatch):
         (("norm", "--p", "1000", "--force-quadrature"), "p=1000"),
         (("norm", "--p", "999.5"), "p=999.5"),
         (("lemma", "--alpha", "1000", "--D", "64", "--delta", "0.1"), "alpha=1000"),
-        (("lemma", "--alpha", "1000", "--D", "64", "--delta", "0.1", "--best-effort"), "p=1000"),
+        (("lemma", "--alpha", "1000", "--D", "64", "--delta", "0.1", "--best-effort"), "alpha=1000"),
     ],
     ids=["norm-exact", "norm-quadrature", "norm-odd-p", "lemma", "lemma-best-effort"],
 )
@@ -348,6 +348,28 @@ def test_powers_beyond_the_double_range_exit_1(capsys, tmp_path, monkeypatch, ar
     assert err.startswith("numeric failure: ")
     assert names in err
     assert not list(tmp_path.iterdir())  # no manifest
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_lemma_best_effort_overflow_stops_at_the_envelopes(capsys, tmp_path, monkeypatch):
+    # the sampled |P|^1000 is inf; the best-effort envelopes used to come
+    # back with NaN gaps and only the later quadrature target failed
+    import majorant.selfsim
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the sandwich target was computed")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(majorant.selfsim, "norm_quad", no_quadrature)
+    code, out, err = run(
+        capsys, "lemma", "--poly", "0:1,1:1,3:-1", "--alpha", "1000",
+        "--D", "64", "--delta", "0.1", "--best-effort",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("numeric failure: ")
+    assert "envelopes" in err and "alpha=1000" in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

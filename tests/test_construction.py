@@ -15,6 +15,7 @@ from majorant import (
     norm_quad,
     ratio_at,
 )
+from oracles import evaluate, expand
 from test_norms import CUBE_NORM_ALL_ONES, CUBE_NORM_FLIPPED
 
 
@@ -39,7 +40,7 @@ def oracle_sign(n, D):
 
 def expanded(c):
     """The all-ones and signed sums of a construction, coefficient form."""
-    return c.all_ones_product().expand(), c.signed_product().expand()
+    return expand(c.all_ones_product()), expand(c.signed_product())
 
 
 # -- build ---------------------------------------------------------------------
@@ -96,7 +97,7 @@ def test_lambda_size_and_peak():
     c = build(6, 3)
     ones, _ = expanded(c)
     assert len(ones) == c.lam_size == 3**3
-    assert ones.eval(0.0) == pytest.approx(c.lam_size)
+    assert evaluate(ones, 0.0) == pytest.approx(c.lam_size)
 
 
 # -- digit signs ---------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -36,3 +37,23 @@ def test_traced_benchmark_targets_resolve():
             owner = getattr(owner, part, None)
             assert owner is not None, f"{span}: majorant.{module}.{attr_path} is gone"
         assert callable(owner), span
+
+
+def test_every_exported_name_is_used_in_the_package():
+    # Unused API is deleted: each exported name is read somewhere in the
+    # package outside its own top-level definition, so a name that only
+    # tests call belongs in the tests.  The names the benchmark tracer
+    # rebinds stay while it does.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    scope = {"__name__": "perfbench_tracing"}
+    exec(compile(path.read_text(), str(path), "exec"), scope)
+    exempt = {attr_path for _, _, attr_path, _ in scope["TARGETS"]}
+    used = set()
+    for file in Path(majorant.__file__).parent.glob("*.py"):
+        for stmt in ast.parse(file.read_text()).body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if isinstance(getattr(node, "ctx", None), ast.Load) and name != own:
+                    used.add(name)
+    assert [n for n in majorant.__all__ if n not in used | exempt] == []

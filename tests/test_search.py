@@ -211,6 +211,17 @@ def test_batched_value_ratios_equal_single_rows_exactly(rng):
     assert batched.tolist() == [float(scanner.value_ratios(row)) for row in vals]
 
 
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_scanner_grid_follows_the_span_not_the_shift(p):
+    # shifted by 1000, the grid grew from 2048 to 16384 points at p = 3
+    # and from 512 to 16384 at p = 4
+    lam = (0, 1, 3, 4, 6, 9, 10, 12, 13, 15, 18, 19)
+    shifted = tuple(n + 1000 for n in lam)
+    m = search_module._Scanner(lam, p, 1e-9).m
+    assert search_module._Scanner(shifted, p, 1e-9).m == m
+    assert exhaustive_signs(shifted, p).best_coeffs == exhaustive_signs(lam, p).best_coeffs
+
+
 def _signs(pattern):
     return tuple(complex(1.0 if c == "+" else -1.0) for c in pattern)
 

@@ -16,10 +16,9 @@ from majorant import (
     sandwich_bounds,
     step_envelopes,
     step_mean,
-    step_selfsim_integral,
-    trig_selfsim_check,
 )
 from majorant.selfsim import lipschitz_bound
+from oracles import evaluate, step_selfsim_integral, trig_selfsim_check
 
 
 def random_step(rng, D):
@@ -113,14 +112,14 @@ def test_selfsim_random_agreement(rng):
 
 
 def test_selfsim_falls_back_past_enumeration_limit(rng, monkeypatch):
-    import majorant.selfsim
+    import oracles
 
     r = random_step(rng, 16)
     res = step_selfsim_integral(r, 8)  # 16^8 cells is far past the limit
     assert not res.enumerated
     assert res.direct == pytest.approx(res.closed_form, rel=1e-12)
     # the limit is read at call time: 16^3 cells enumerate, 16^4 do not
-    monkeypatch.setattr(majorant.selfsim, "ENUMERATION_LIMIT", 16**3)
+    monkeypatch.setattr(oracles, "ENUMERATION_LIMIT", 16**3)
     assert step_selfsim_integral(r, 3).enumerated
     res = step_selfsim_integral(r, 4)
     assert not res.enumerated
@@ -209,7 +208,7 @@ def test_envelopes_are_pointwise_valid():
     env = step_envelopes(P, 3.0, 1024, 0.05)
     fine = 1024 * 17
     theta = (np.arange(fine) + 0.31) / fine
-    vals = np.abs(P.eval(theta)) ** 3
+    vals = np.abs(evaluate(P, theta)) ** 3
     cells = (theta * 1024).astype(int)
     assert np.all(vals <= env.rplus.as_array()[cells] + 1e-9)
     assert np.all(vals >= env.rminus.as_array()[cells] - 1e-9)
@@ -223,7 +222,7 @@ def test_envelope_gap_tracks_dense_oracle():
     env = step_envelopes(P, 3.0, D, 0.05)
     dense_S = 96
     theta = (np.arange(D * dense_S) + 0.5) / (D * dense_S)
-    vals = (np.abs(P.eval(theta)) ** 3).reshape(D, dense_S)
+    vals = (np.abs(evaluate(P, theta)) ** 3).reshape(D, dense_S)
     oracle_gap = float(np.mean(vals.max(axis=1) - vals.min(axis=1)))
     assert env.correction <= 0.05 / 4
     assert env.mean_gap <= oracle_gap + 2 * env.correction + 1e-6
@@ -261,6 +260,12 @@ def test_sample_envelopes_best_effort():
         lo <= hi for lo, hi in zip(env.rminus.values, env.rplus.values)
     )
 
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_sample_envelopes_beyond_the_double_range_names_alpha():
+    # |P|^1000 reaches 3^1000 = inf on the samples: the gaps came back NaN
+    with pytest.raises(MajorantError, match="alpha=1000"):
+        sample_envelopes(flipped_base(), 1000.0, 64)
 
 # -- sandwich -----------------------------------------------------------------------
 
